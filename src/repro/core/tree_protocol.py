@@ -107,6 +107,7 @@ def _leaf_plans_impl(
 _leaf_plans_cached = hotcache.register(
     "core.tree_protocol.leaf_plans",
     lru_cache(maxsize=1 << 12)(_leaf_plans_impl),
+    lifetime=hotcache.TRIAL,
 )
 
 
@@ -132,6 +133,7 @@ def _node_union_impl(parts: Tuple[FrozenSet[int], ...]) -> FrozenSet[int]:
 _node_union_cached = hotcache.register(
     "core.tree_protocol.node_union",
     lru_cache(maxsize=1 << 14)(_node_union_impl),
+    lifetime=hotcache.TRIAL,
 )
 
 

@@ -57,7 +57,7 @@ class CollisionFreeSpec:
         return ceil_log2(self.range_size)
 
 
-@hotcache.memoize("hashing.families.collision_free_range")
+@hotcache.memoize("hashing.families.collision_free_range", lifetime=hotcache.PROCESS)
 def collision_free_range(set_size: int, exponent: int) -> int:
     """The Fact 2.2 range size ``t = Theta(s^(i+2))``.
 

@@ -147,7 +147,9 @@ def _modulus_impl(universe_size: int, range_size: int) -> int:
 
 
 _modulus_cached = hotcache.register(
-    "hashing.pairwise.modulus", lru_cache(maxsize=1 << 12)(_modulus_impl)
+    "hashing.pairwise.modulus",
+    lru_cache(maxsize=1 << 12)(_modulus_impl),
+    lifetime=hotcache.PROCESS,
 )
 
 
@@ -180,7 +182,9 @@ def _sample_impl(
 
 
 _sample_cached = hotcache.register(
-    "hashing.pairwise.sample", lru_cache(maxsize=1 << 16)(_sample_impl)
+    "hashing.pairwise.sample",
+    lru_cache(maxsize=1 << 16)(_sample_impl),
+    lifetime=hotcache.TRIAL,
 )
 
 

@@ -57,7 +57,9 @@ def _is_prime_impl(candidate: int) -> bool:
 
 
 _is_prime_cached = hotcache.register(
-    "hashing.primes.is_prime", lru_cache(maxsize=1 << 16)(_is_prime_impl)
+    "hashing.primes.is_prime",
+    lru_cache(maxsize=1 << 16)(_is_prime_impl),
+    lifetime=hotcache.PROCESS,
 )
 
 
@@ -86,7 +88,9 @@ def _next_prime_impl(lower_bound: int) -> int:
 
 
 _next_prime_cached = hotcache.register(
-    "hashing.primes.next_prime", lru_cache(maxsize=1 << 16)(_next_prime_impl)
+    "hashing.primes.next_prime",
+    lru_cache(maxsize=1 << 16)(_next_prime_impl),
+    lifetime=hotcache.PROCESS,
 )
 
 

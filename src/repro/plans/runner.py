@@ -14,6 +14,11 @@ are a pure function of ``(cell, trial seeds, analysis, retry policy)``:
   record execution would have produced, which is what lets the scheduler
   fingerprint aggregates across cached and executed shards alike.
 
+Each trial runs inside one :func:`repro.util.hotcache.trial` scope, so the
+hot-cache entries keyed by its coins and values die with it instead of
+piling up for the cyclic collector to re-walk (values are pure functions
+of their keys, so the scope costs misses only, never a bit).
+
 Record shapes (versioned by ``repro.plans.compile.PLAN_SCHEMA_VERSION``):
 
 * ``cost``     -- ``[total_bits, num_messages, correct]``
@@ -33,6 +38,7 @@ from typing import Any, List, Sequence
 from repro.perf.executor import derive_seed
 from repro.plans.compile import Shard
 from repro.plans.registry import build_multiparty_protocol, build_protocol
+from repro.util import hotcache
 from repro.workloads import generate_pair
 
 __all__ = [
@@ -49,15 +55,16 @@ MULTIPARTY_SURVIVAL_STATUSES = ("exact", "recovered", "degraded", "inexact")
 def _cost_records(shard: Shard, protocol) -> List[List[Any]]:
     records: List[List[Any]] = []
     for seed in shard.seeds:
-        alice, bob = generate_pair(shard.cell.instance, seed)
-        outcome = protocol.run(alice, bob, seed=seed)
-        records.append(
-            [
-                int(outcome.total_bits),
-                int(outcome.num_messages),
-                bool(outcome.correct_for(alice, bob)),
-            ]
-        )
+        with hotcache.trial():
+            alice, bob = generate_pair(shard.cell.instance, seed)
+            outcome = protocol.run(alice, bob, seed=seed)
+            records.append(
+                [
+                    int(outcome.total_bits),
+                    int(outcome.num_messages),
+                    bool(outcome.correct_for(alice, bob)),
+                ]
+            )
     return records
 
 
@@ -77,37 +84,38 @@ def _survival_records(shard: Shard, protocol, retry) -> List[List[Any]]:
         _, spec_seed = parse_fault_spec(model_spec)
     records: List[List[Any]] = []
     for seed in shard.seeds:
-        alice, bob = generate_pair(shard.cell.instance, seed)
-        if model_spec is not None:
-            # A fresh model per trial: rate models are stateless but the
-            # promoted deterministic models (FlipOnce) are not, and a fresh
-            # plan guarantees trial-order independence either way.
-            model, _ = parse_fault_spec(model_spec)
-            fault_plan = FaultPlan(model, seed=derive_seed(seed, spec_seed))
-        else:
-            fault_plan = None
-        outcome = run_with_retry(
-            protocol,
-            alice,
-            bob,
-            seed=seed,
-            policy=policy,
-            plan=fault_plan,
-        )
-        if outcome.degraded:
-            status = "degraded"
-        elif outcome.correct_for(alice, bob):
-            status = "exact"
-        else:
-            status = "inexact"
-        records.append(
-            [
-                status,
-                int(outcome.attempts),
-                int(fault_plan.injected) if fault_plan is not None else 0,
-                int(outcome.total_bits),
-            ]
-        )
+        with hotcache.trial():
+            alice, bob = generate_pair(shard.cell.instance, seed)
+            if model_spec is not None:
+                # A fresh model per trial: rate models are stateless but the
+                # promoted deterministic models (FlipOnce) are not, and a
+                # fresh plan guarantees trial-order independence either way.
+                model, _ = parse_fault_spec(model_spec)
+                fault_plan = FaultPlan(model, seed=derive_seed(seed, spec_seed))
+            else:
+                fault_plan = None
+            outcome = run_with_retry(
+                protocol,
+                alice,
+                bob,
+                seed=seed,
+                policy=policy,
+                plan=fault_plan,
+            )
+            if outcome.degraded:
+                status = "degraded"
+            elif outcome.correct_for(alice, bob):
+                status = "exact"
+            else:
+                status = "inexact"
+            records.append(
+                [
+                    status,
+                    int(outcome.attempts),
+                    int(fault_plan.injected) if fault_plan is not None else 0,
+                    int(outcome.total_bits),
+                ]
+            )
     return records
 
 
@@ -124,36 +132,37 @@ def _multiparty_survival_records(shard: Shard, protocol, retry) -> List[List[Any
         _, spec_seed = parse_fault_spec(model_spec)
     records: List[List[Any]] = []
     for seed in shard.seeds:
-        sets = generate_multiparty(shard.cell.instance, seed)
-        truth = frozenset.intersection(*sets)
-        if model_spec is not None:
-            # Fresh model per trial (Churn carries per-player fate state;
-            # reusing it would couple trials through crash schedules).
-            model, _ = parse_fault_spec(model_spec)
-            fault_plan = FaultPlan(model, seed=derive_seed(seed, spec_seed))
-        else:
-            fault_plan = None
-        outcome = run_with_recovery(
-            protocol, sets, seed=seed, policy=policy, plan=fault_plan
-        )
-        if not truth <= outcome.intersection:
-            status = "inexact"  # the one-sided invariant broke: a bug
-        elif outcome.degraded:
-            status = "degraded"
-        elif outcome.status == "exact" and outcome.intersection != truth:
-            status = "inexact"  # claimed exact but off: fingerprint slip
-        else:
-            status = outcome.status
-        records.append(
-            [
-                status,
-                int(outcome.attempts),
-                len(outcome.crashed),
-                int(fault_plan.injected) if fault_plan is not None else 0,
-                int(outcome.total_bits),
-                int(outcome.recovery_bits),
-            ]
-        )
+        with hotcache.trial():
+            sets = generate_multiparty(shard.cell.instance, seed)
+            truth = frozenset.intersection(*sets)
+            if model_spec is not None:
+                # Fresh model per trial (Churn carries per-player fate state;
+                # reusing it would couple trials through crash schedules).
+                model, _ = parse_fault_spec(model_spec)
+                fault_plan = FaultPlan(model, seed=derive_seed(seed, spec_seed))
+            else:
+                fault_plan = None
+            outcome = run_with_recovery(
+                protocol, sets, seed=seed, policy=policy, plan=fault_plan
+            )
+            if not truth <= outcome.intersection:
+                status = "inexact"  # the one-sided invariant broke: a bug
+            elif outcome.degraded:
+                status = "degraded"
+            elif outcome.status == "exact" and outcome.intersection != truth:
+                status = "inexact"  # claimed exact but off: fingerprint slip
+            else:
+                status = outcome.status
+            records.append(
+                [
+                    status,
+                    int(outcome.attempts),
+                    len(outcome.crashed),
+                    int(fault_plan.injected) if fault_plan is not None else 0,
+                    int(outcome.total_bits),
+                    int(outcome.recovery_bits),
+                ]
+            )
     return records
 
 

@@ -87,6 +87,7 @@ def _canonical_bytes_impl(value: Any) -> bytes:
 _canonical_bytes_cached = hotcache.register(
     "protocols.fingerprint.canonical_bytes",
     lru_cache(maxsize=1 << 16, typed=True)(_canonical_bytes_impl),
+    lifetime=hotcache.TRIAL,
 )
 
 
@@ -121,7 +122,9 @@ def _salt_impl(derived_seed: int) -> bytes:
 
 
 _salt_cached = hotcache.register(
-    "protocols.fingerprint.salt", lru_cache(maxsize=1 << 16)(_salt_impl)
+    "protocols.fingerprint.salt",
+    lru_cache(maxsize=1 << 16)(_salt_impl),
+    lifetime=hotcache.TRIAL,
 )
 
 
@@ -144,7 +147,9 @@ def _fingerprint_impl(salt: bytes, width: int, data: bytes) -> int:
 
 
 _fingerprint_cached = hotcache.register(
-    "protocols.fingerprint.value", lru_cache(maxsize=1 << 16)(_fingerprint_impl)
+    "protocols.fingerprint.value",
+    lru_cache(maxsize=1 << 16)(_fingerprint_impl),
+    lifetime=hotcache.TRIAL,
 )
 
 
@@ -158,6 +163,7 @@ def _fingerprint_of_impl(salt: bytes, width: int, value: Any) -> int:
 _fingerprint_of_cached = hotcache.register(
     "protocols.fingerprint.value_of",
     lru_cache(maxsize=1 << 16, typed=True)(_fingerprint_of_impl),
+    lifetime=hotcache.TRIAL,
 )
 
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.api import IntersectionResult
@@ -57,7 +56,7 @@ from repro.serve.barrier import (
 )
 from repro.serve.registry import ServedSession, SessionRegistry
 from repro.serve.wire import ServeError
-from repro.session import IntersectionSession
+from repro.session import IntersectionSession, jaccard_from_common
 from repro.util.rng import SharedRandomness
 
 __all__ = [
@@ -233,10 +232,9 @@ def _operation_value(
     if kind == "size":
         return len(result.intersection)
     if kind == "jaccard":
-        union = len(frozenset(alice_set) | frozenset(bob_set))
-        if union == 0:
-            return Fraction(1)
-        return Fraction(len(result.intersection), union)
+        return jaccard_from_common(
+            len(alice_set), len(bob_set), len(result.intersection)
+        )
     if kind == "contains-any":
         return bool(result.intersection)
     raise ServeError("bad-request", f"unknown operation kind {kind!r}")

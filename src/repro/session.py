@@ -30,7 +30,29 @@ from typing import FrozenSet, Iterable, List, Optional
 from repro.core.api import IntersectionResult, compute_intersection
 from repro.perf.executor import derive_seed
 
-__all__ = ["IntersectionSession", "OperationRecord", "SessionStats"]
+__all__ = [
+    "IntersectionSession",
+    "OperationRecord",
+    "SessionStats",
+    "jaccard_from_common",
+]
+
+
+def jaccard_from_common(alice_size: int, bob_size: int, common: int) -> Fraction:
+    """Jaccard similarity from ``|S|``, ``|T|`` and a computed ``|S n T|``
+    (1 for two empty sets).
+
+    Every path that answers a ``jaccard`` operation (the session, the
+    coalesced server path, the serial oracle) uses this one formula, so a
+    reply never depends on how the operation was dispatched.  The union is
+    ``|S| + |T| - common``: on an exact answer that is ``|S u T|``; on an
+    inexact one (``common`` overcounts) dividing by the true ``|S u T|``
+    instead would give a second, different answer.
+    """
+    union = alice_size + bob_size - common
+    if union == 0:
+        return Fraction(1)
+    return Fraction(common, union)
 
 
 @dataclass(frozen=True)
@@ -265,10 +287,7 @@ class IntersectionSession:
         s = frozenset(alice_set)
         t = frozenset(bob_set)
         common = len(self._run("jaccard", s, t).intersection)
-        union = len(s) + len(t) - common
-        if union == 0:
-            return Fraction(1)
-        return Fraction(common, union)
+        return jaccard_from_common(len(s), len(t), common)
 
     def contains_any(
         self, alice_set: Iterable[int], bob_set: Iterable[int]

@@ -40,7 +40,9 @@ def _derive_seed_impl(seed: int, label: str) -> int:
 
 
 _derive_seed_cached = hotcache.register(
-    "util.rng.derive_seed", lru_cache(maxsize=1 << 16)(_derive_seed_impl)
+    "util.rng.derive_seed",
+    lru_cache(maxsize=1 << 16)(_derive_seed_impl),
+    lifetime=hotcache.TRIAL,
 )
 
 

@@ -260,3 +260,67 @@ class TestCoalescerDrain:
             return excinfo.value
 
         assert asyncio.run(scenario()).type == "shutting-down"
+
+
+class TestJaccardAcrossPaths:
+    """A ``jaccard`` reply must not depend on whether the op was coalesced.
+
+    The regression: the coalesced path divided the computed intersection
+    size ``c`` by ``|S u T|`` while the session (scalar path and serial
+    oracle) divides by ``|S| + |T| - c``; the two disagree on every inexact
+    answer.  At ``n = 2^32, k = 2``, one round and session seed 584, the
+    first two ``sample(range(2**32), 2)`` draws of ``Random(584)`` are
+    disjoint, yet the one-round protocol reports one common element: the
+    scalar path answers 1/3 and the coalesced path used to answer 1/4.
+    """
+
+    def _inexact_op(self):
+        rng = random.Random(584)
+        alice = rng.sample(range(1 << 32), 2)
+        bob = rng.sample(range(1 << 32), 2)
+        assert not set(alice) & set(bob)
+        return alice, bob
+
+    def _answer(self, alice, bob, *, coalesce):
+        # A second session's op shares the tick: a lone op takes the scalar
+        # path even with coalescing on.
+        registry = SessionRegistry(0)
+        registry.open(
+            "s", universe_size=1 << 32, max_set_size=2, rounds=1, seed=584
+        )
+        registry.open("t", universe_size=1 << 32, max_set_size=2, rounds=1)
+        ops = [("s", "jaccard", alice, bob), ("t", "size", alice, bob)]
+        (outcome, _), stats = _drive(registry, ops, coalesce=coalesce)
+        assert stats.coalesced_ops == (2 if coalesce else 0)
+        value, _record = outcome
+        return value
+
+    def test_coalesced_answer_matches_scalar_on_an_inexact_op(self):
+        from fractions import Fraction
+
+        alice, bob = self._inexact_op()
+        scalar = self._answer(alice, bob, coalesce=False)
+        coalesced = self._answer(alice, bob, coalesce=True)
+        oracle = IntersectionSession(1 << 32, 2, rounds=1, seed=584)
+        assert scalar == oracle.jaccard(alice, bob) == Fraction(1, 3)
+        assert coalesced == scalar
+
+    def test_paths_agree_on_a_mixed_load(self, rng):
+        # Every kind, exact and inexact alike: coalesced replies equal the
+        # scalar replies value for value.
+        sessions = 4
+        registries = []
+        for _ in range(2):
+            registry = SessionRegistry(0)
+            for i in range(sessions):
+                registry.open(
+                    f"s{i}", universe_size=1 << 32, max_set_size=2, rounds=1
+                )
+            registries.append(registry)
+        ops = []
+        for j in range(64):
+            alice, bob = rng.sample(range(1 << 32), 2), rng.sample(range(1 << 32), 2)
+            ops.append((f"s{j % sessions}", "jaccard", alice, bob))
+        scalar, _ = _drive(registries[0], ops, coalesce=False)
+        coalesced, _ = _drive(registries[1], ops, coalesce=True)
+        assert [value for value, _ in coalesced] == [value for value, _ in scalar]
