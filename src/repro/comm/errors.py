@@ -14,6 +14,7 @@ __all__ = [
     "ProtocolViolation",
     "MessageToFinishedPlayer",
     "ProtocolAborted",
+    "DecodeError",
 ]
 
 
@@ -77,3 +78,14 @@ class ProtocolAborted(ProtocolError):
         # which would lose bits_used/budget and break unpickling in trial
         # executor workers; reconstruct with the full signature instead.
         return (type(self), (self.args[0], self.bits_used, self.budget))
+
+
+class DecodeError(ProtocolError, ValueError):
+    """A received message does not parse under the codec its reader expects
+    (read past the end, or bits left over).
+
+    On a reliable channel this is a protocol bug; under a fault plan it is
+    how a flipped, truncated or duplicated message usually surfaces.  It is
+    still a :class:`ValueError`, so code written against the codecs'
+    historical contract keeps catching it.
+    """

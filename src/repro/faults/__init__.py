@@ -10,8 +10,13 @@ get one.  This package is the robustness layer grown from that gap:
 * :mod:`repro.faults.plan` -- :class:`FaultPlan`, a model bound to a
   seeded coin stream: the deterministic fault *schedule* both engines
   consult, and the emitter of ``fault.injected`` trace events;
-* :mod:`repro.faults.retry` -- :func:`run_with_retry`, the bounded
-  verification-driven retry loop with budget accounting and the graceful
+* :mod:`repro.faults.attempts` -- :func:`~repro.faults.attempts.run_attempts`,
+  the bounded attempt loop two-party retry and m-player recovery share:
+  the failure taxonomy (typed errors from fault-touched attempts and
+  budget aborts fail an attempt; every other error propagates) and the
+  suspect-confirmation rule;
+* :mod:`repro.faults.retry` -- :func:`run_with_retry`, that loop over a
+  two-party protocol, with budget accounting and the graceful
   degradation contract (imported lazily; it sits above the protocol
   layer);
 * :mod:`repro.faults.state` -- the process-global kill-switch, off by

@@ -9,7 +9,11 @@ damage (a strict-codec decode error, a desynchronized channel, a budget
 abort, or plain disagreement) can be answered by re-running with fresh
 shared randomness.
 
-:func:`run_with_retry` packages that loop:
+:func:`run_with_retry` runs a two-party protocol through the attempt loop
+of :mod:`repro.faults.attempts`, which owns the failure taxonomy and the
+suspect-confirmation rule (an attempt that agreed while faults fired is
+accepted only once an independent attempt reproduces its set).  What is
+left here is the two-party part:
 
 * each attempt runs the wrapped protocol under the active fault plan with
   an attempt-derived seed (fresh hash functions per retry, the same
@@ -17,39 +21,26 @@ shared randomness.
   per-attempt bit budget (the "timeout" of the policy);
 * all attempts share one transcript, so ``total_bits`` is the *exact*
   across-attempt spend -- including bits paid before a mid-run failure;
-* failed attempts emit ``retry.attempt`` events and accrue deterministic
-  simulated backoff; an exhausted budget emits ``retry.exhausted`` +
-  ``degraded.output`` and returns the **degradation contract**: each party
-  outputs its own input set, the only candidate that is certifiably a
-  superset of ``S n T`` from within that party's input without any trusted
-  communication.  Nothing raises mid-protocol on channel damage.
+* failed attempts emit ``retry.attempt`` events; an exhausted budget
+  emits ``retry.exhausted`` + ``degraded.output`` and returns the
+  **degradation contract**: each party outputs its own input set, the
+  only candidate that is certifiably a superset of ``S n T`` from within
+  that party's input without any trusted communication.
 
-One subtlety makes the loop converge under fire: agreement certifies
-exactness *on a reliable channel only*.  A single corrupted hash message
-can remove the same true element from **both** candidates (the peer filters
-against the corrupted list, then the sender filters against the peer's
-already-filtered reply), so the parties agree on a wrong set and no
-agreement check can tell.  The loop therefore treats an attempt that
-reached agreement *while faults fired* as a **suspect** candidate: it is
-accepted only once an independent attempt -- fresh shared randomness, so a
-consistent corruption cannot replicate -- reproduces the same set (or an
-attempt completes with no faults fired at all).  Attempts untouched by
-faults accept immediately, so the reliable fast path pays nothing.
+Channel damage never raises.  An error no fault can explain -- a plain
+``ValueError``, or a typed error on an attempt no fault touched -- does:
+it is a bug, and retrying it would return a "certified" superset of the
+wrong thing.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Optional
 
-from repro.comm.errors import (
-    ProtocolAborted,
-    ProtocolDeadlock,
-    ProtocolError,
-    ProtocolViolation,
-)
 from repro.comm.transcript import Transcript
+from repro.faults.attempts import run_attempts
 from repro.faults.plan import FaultPlan
 from repro.faults.state import STATE as _FAULTS
 from repro.obs.state import STATE as _OBS
@@ -60,15 +51,12 @@ __all__ = ["RetryPolicy", "RobustOutcome", "attempt_seed", "run_with_retry"]
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded-retry policy: attempts, per-attempt budget, backoff.
+    """Bounded-retry policy: attempts and the per-attempt budget.
 
     :param max_attempts: total attempts (>= 1) before degrading.
     :param attempt_bit_budget: per-attempt communication cutoff in bits
         (the policy's "timeout"; ``None`` = no cutoff).  An attempt over
         budget aborts symmetrically and counts as failed.
-    :param backoff_base: simulated delay units charged before retry ``i``
-        (0 disables backoff accounting).
-    :param backoff_factor: exponential growth of the simulated delay.
     :param adaptive_budget: when True (and a budget is set), later
         attempts' budgets grow with the fault pressure the session has
         actually observed (see :meth:`effective_budget`) instead of
@@ -83,8 +71,6 @@ class RetryPolicy:
 
     max_attempts: int = 5
     attempt_bit_budget: Optional[int] = None
-    backoff_base: float = 0.0
-    backoff_factor: float = 2.0
     adaptive_budget: bool = False
 
     def __post_init__(self) -> None:
@@ -92,21 +78,6 @@ class RetryPolicy:
             raise ValueError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.backoff_base < 0:
-            raise ValueError(
-                f"backoff_base must be >= 0, got {self.backoff_base}"
-            )
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-
-    def delay(self, attempt: int) -> float:
-        """Simulated backoff charged before retry number ``attempt``
-        (0-based: the delay between attempt ``attempt`` and the next)."""
-        if self.backoff_base <= 0:
-            return 0.0
-        return self.backoff_base * self.backoff_factor**attempt
 
     def effective_budget(
         self, attempt: int, observed_faults: int
@@ -152,11 +123,7 @@ class RobustOutcome:
     total_messages: int
     degraded: bool
     degraded_mode: Optional[str] = None
-    simulated_delay: float = 0.0
     failure_reasons: List[str] = field(default_factory=list)
-    #: Last completed-but-unverified candidate pair (diagnostics only; not
-    #: certified supersets, which is why degradation does not return them).
-    last_candidates: Optional[Tuple] = None
 
     @property
     def agreed(self) -> bool:
@@ -183,18 +150,6 @@ def attempt_seed(seed: int, attempt: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _failure_reason(exc: Exception) -> str:
-    if isinstance(exc, ProtocolAborted):
-        return "aborted"
-    if isinstance(exc, ProtocolDeadlock):
-        return "deadlock"
-    if isinstance(exc, ProtocolViolation):
-        return "violation"
-    if isinstance(exc, ProtocolError):  # future subclasses
-        return "protocol-error"
-    return "decode-error"
-
-
 def run_with_retry(
     protocol,
     alice_set: Iterable[int],
@@ -215,96 +170,70 @@ def run_with_retry(
     :param plan: explicit fault plan for this session.  ``None`` uses the
         process-global plan if one is installed (``REPRO_FAULTS`` /
         :func:`repro.faults.plan.install`), else a reliable channel.
-    :returns: a :class:`RobustOutcome`; never raises on channel damage
-        (input-validation errors still raise -- those are caller bugs,
-        checked before any attempt runs).
+    :returns: a :class:`RobustOutcome`; never raises on channel damage.
+        A malformed instance raises ``ValueError`` before any attempt
+        runs, and an attempt's error that no fault explains propagates
+        (see :mod:`repro.faults.attempts`).
     """
     policy = policy if policy is not None else RetryPolicy()
-    # Validate up-front so a malformed instance raises as a caller bug
-    # instead of being mistaken for channel damage inside the loop.
     s, t = validate_set_pair(
         alice_set, bob_set, protocol.universe_size, protocol.max_set_size
     )
     if plan is None and _FAULTS.active:
         # Resolve the global plan here (rather than letting the engine do
-        # it) so the confirmation rule below can read its fault counters.
+        # it) so the attempt loop can read its fault counters.
         plan = _FAULTS.plan
     injector = plan.inject_two_party if plan is not None else None
     record = Transcript()
-    reasons: List[str] = []
-    last_candidates: Optional[Tuple] = None
-    suspect: Optional[FrozenSet[int]] = None
-    delay = 0.0
     session_fault_base = plan.injected if plan is not None else 0
-    for attempt in range(policy.max_attempts):
-        faults_before = plan.injected if plan is not None else 0
-        observed_faults = faults_before - session_fault_base
-        try:
-            outcome = protocol.run(
-                s,
-                t,
-                seed=attempt_seed(seed, attempt),
-                max_total_bits=policy.effective_budget(attempt, observed_faults),
-                transcript=record,
-                fault_injector=injector,
-            )
-        except ProtocolError as exc:
-            reason = _failure_reason(exc)
-        except ValueError:
-            # Strict codecs refuse corrupted payloads; treat as a failed
-            # verification exchange, not a crash.
-            reason = "decode-error"
-        else:
-            complete = (
-                outcome.alice_output is not None
-                and outcome.bob_output is not None
-            )
-            if complete and outcome.alice_output == outcome.bob_output:
-                faults_during = (
-                    plan.injected - faults_before if plan is not None else 0
-                )
-                candidate = outcome.alice_output
-                # Corollary 3.4: agreement certifies exactness -- over a
-                # reliable channel.  An attempt faults actually touched can
-                # agree on a consistently corrupted set, so it is accepted
-                # only as confirmation of (or once confirmed by) an
-                # independent attempt reproducing the same set.
-                if faults_during == 0 or candidate == suspect:
-                    return RobustOutcome(
-                        alice_output=outcome.alice_output,
-                        bob_output=outcome.bob_output,
-                        protocol_name=protocol.name,
-                        attempts=attempt + 1,
-                        total_bits=record.total_bits,
-                        total_messages=record.num_messages,
-                        degraded=False,
-                        simulated_delay=delay,
-                        failure_reasons=reasons,
-                    )
-                suspect = candidate
-                last_candidates = (outcome.alice_output, outcome.bob_output)
-                reason = "unconfirmed"
-            else:
-                if complete:
-                    last_candidates = (
-                        outcome.alice_output,
-                        outcome.bob_output,
-                    )
-                reason = "disagreement" if complete else "incomplete"
-        reasons.append(reason)
-        delay += policy.delay(attempt)
+
+    def attempt(index: int):
+        observed_faults = (
+            plan.injected - session_fault_base if plan is not None else 0
+        )
+        outcome = protocol.run(
+            s,
+            t,
+            seed=attempt_seed(seed, index),
+            max_total_bits=policy.effective_budget(index, observed_faults),
+            transcript=record,
+            fault_injector=injector,
+        )
+        if outcome.alice_output is None or outcome.bob_output is None:
+            return "incomplete"
+        if outcome.alice_output != outcome.bob_output:
+            return "disagreement"
+        return outcome.alice_output
+
+    def on_failure(index: int, reason: str) -> bool:
         if _OBS.active:
             _OBS.tracer.emit(
                 "retry.attempt",
                 protocol=protocol.name,
-                attempt=attempt,
+                attempt=index,
                 reason=reason,
             )
+        return False
+
+    candidate, attempts, reasons = run_attempts(
+        policy.max_attempts, plan, attempt, on_failure
+    )
+    if candidate is not None:
+        return RobustOutcome(
+            alice_output=candidate,
+            bob_output=candidate,
+            protocol_name=protocol.name,
+            attempts=attempts,
+            total_bits=record.total_bits,
+            total_messages=record.num_messages,
+            degraded=False,
+            failure_reasons=reasons,
+        )
     if _OBS.active:
         _OBS.tracer.emit(
             "retry.exhausted",
             protocol=protocol.name,
-            attempts=policy.max_attempts,
+            attempts=attempts,
         )
         _OBS.tracer.emit(
             "degraded.output", protocol=protocol.name, mode="superset"
@@ -313,12 +242,10 @@ def run_with_retry(
         alice_output=s,
         bob_output=t,
         protocol_name=protocol.name,
-        attempts=policy.max_attempts,
+        attempts=attempts,
         total_bits=record.total_bits,
         total_messages=record.num_messages,
         degraded=True,
         degraded_mode="superset",
-        simulated_delay=delay,
         failure_reasons=reasons,
-        last_candidates=last_candidates,
     )

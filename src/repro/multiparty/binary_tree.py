@@ -159,19 +159,14 @@ class BinaryTreeIntersection:
         return current
 
     def run(
-        self,
-        sets: Sequence[Iterable[int]],
-        *,
-        seed: int = 0,
-        recover: Optional[bool] = None,
+        self, sets: Sequence[Iterable[int]], *, seed: int = 0
     ) -> MultipartyResult:
         """Compute the intersection of ``m`` players' sets.
 
         :param sets: one iterable of elements per player.
         :param seed: replay seed for all randomness.
-        :param recover: ``None`` (default) engages the crash-recovery
-            layer exactly when a fault plan is active; ``True``/``False``
-            force it on/off.  Even with ``False``, a crash degrades to a
-            typed certified-superset result instead of raising.
+
+        Runs through the crash-recovery layer exactly when a fault plan
+        is active.
         """
-        return _run_with_contract(self, sets, seed, recover)
+        return _run_with_contract(self, sets, seed)

@@ -29,13 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Generator, Iterable, List, Optional, Sequence
 
-from repro.comm.errors import MessageToFinishedPlayer, ProtocolDeadlock
 from repro.core.amplify import AmplifiedIntersection
+from repro.faults.state import STATE as _FAULTS
 from repro.multiparty.network import (
     MultipartyOutcome,
     PlayerContext,
-    RunningTotals,
     TwoPartyAdapter,
+    player_inputs,
     run_message_passing,
 )
 from repro.multiparty.pairing import drive_adapters, pair_context
@@ -48,8 +48,8 @@ class MultipartyResult:
     """Convenience wrapper: the computed intersection plus the accounting.
 
     ``robust`` is populated when the run went through the crash-recovery
-    layer (or had to degrade): it carries the per-attempt ledger, the
-    survivor/casualty lists and the degradation mode.  ``total_bits`` /
+    layer (a fault plan was active): it carries the per-attempt ledger,
+    the survivor/casualty lists and the degradation mode.  ``total_bits`` /
     ``rounds`` then report the *session* totals -- failed attempts
     included -- because that is what the network actually carried.
     """
@@ -92,36 +92,18 @@ def partition_groups(players: Sequence[str], group_size: int) -> List[List[str]]
 
 
 def _run_with_contract(
-    protocol, sets: Sequence[Iterable[int]], seed: int, recover: Optional[bool]
+    protocol, sets: Sequence[Iterable[int]], seed: int
 ) -> MultipartyResult:
     """The shared ``run()`` body of both multiparty protocols.
 
-    Validates inputs, then picks the execution path:
-
-    * ``recover=None`` (the default) auto-enables the recovery layer
-      exactly when a fault plan is installed (``REPRO_FAULTS`` or an
-      ``inject()`` block) -- a reliable network never pays the wrapper
-      and stays bit-identical to the pre-recovery code path;
-    * ``recover=True`` forces the recovery layer;
-    * ``recover=False`` runs the raw BSP scheduler, but still honours the
-      degradation contract: a crash surfacing as
-      :class:`~repro.comm.errors.MessageToFinishedPlayer` (or as a
-      crashed root with no output) becomes a typed certified-superset
-      :class:`MultipartyResult` instead of an escaping error.
+    Validates inputs, then runs the BSP scheduler -- through the recovery
+    layer exactly when a fault plan is active (``REPRO_FAULTS`` or an
+    ``inject()`` block), so a reliable network never pays the wrapper and
+    a faulted caller cannot forget it.
     """
-    if not sets:
-        raise ValueError("need at least one player")
-    names = [f"p{index:05d}" for index in range(len(sets))]
-    inputs = {
-        name: frozenset(player_set) for name, player_set in zip(names, sets)
-    }
-    for name, player_set in inputs.items():
-        if len(player_set) > protocol.max_set_size:
-            raise ValueError(
-                f"{name} holds {len(player_set)} elements; k="
-                f"{protocol.max_set_size}"
-            )
-    if len(sets) == 1:
+    inputs = player_inputs(sets, protocol.universe_size, protocol.max_set_size)
+    names = list(inputs)
+    if len(names) == 1:
         only = inputs[names[0]]
         return MultipartyResult(
             intersection=only,
@@ -132,11 +114,7 @@ def _run_with_contract(
                 rounds=0,
             ),
         )
-    if recover is None:
-        from repro.faults.state import STATE as _FAULTS
-
-        recover = _FAULTS.active
-    if recover:
+    if _FAULTS.active:
         from repro.multiparty.recovery import run_with_recovery
 
         robust = run_with_recovery(protocol, sets, seed=seed)
@@ -153,70 +131,12 @@ def _run_with_contract(
         return MultipartyResult(
             intersection=robust.intersection, outcome=outcome, robust=robust
         )
-
-    totals = RunningTotals()
-    outcome = None
-    final = None
-    reason = "root-crashed"
-    try:
-        outcome = run_message_passing(
-            {name: protocol._player for name in names},
-            inputs,
-            shared_seed=seed,
-            totals=totals,
-        )
-        final = outcome.outputs[names[0]]
-    except (MessageToFinishedPlayer, ProtocolDeadlock) as exc:
-        if not totals.crashed:
-            # No casualties means this is a genuine protocol bug, not
-            # channel damage; masking it as degradation would hide it.
-            raise
-        reason = (
-            "mail-to-dead"
-            if isinstance(exc, MessageToFinishedPlayer)
-            else "deadlock"
-        )
-    if final is None:
-        # A fail-stop crash either mailed a finished player or took the
-        # output-holding root with it.  Both used to escape as bare errors
-        # (losing the accounting with them); the contract is a *typed*
-        # certified-superset degradation over what the canonical root
-        # knew: its own input.
-        from repro.multiparty.recovery import MultipartyRobustOutcome
-        from repro.obs.state import STATE as _OBS
-
-        crashed = tuple(totals.crashed)
-        dead = set(crashed)
-        fallback = inputs[names[0]]
-        robust = MultipartyRobustOutcome(
-            intersection=fallback,
-            status="degraded",
-            protocol_name=protocol.name,
-            survivors=tuple(n for n in names if n not in dead),
-            crashed=crashed,
-            attempts=1,
-            total_bits=totals.total_bits,
-            total_rounds=totals.rounds,
-            recovery_bits=0,
-            recovery_rounds=0,
-            degraded_mode="superset",
-            failure_reasons=[reason],
-        )
-        if _OBS.active:
-            _OBS.tracer.emit(
-                "degraded.output", protocol=protocol.name, mode="superset"
-            )
-        synthesized = MultipartyOutcome(
-            outputs={names[0]: fallback},
-            bits_sent=dict(totals.bits_sent),
-            bits_received=dict(totals.bits_received),
-            rounds=totals.rounds,
-            crashed=crashed,
-        )
-        return MultipartyResult(
-            intersection=fallback, outcome=synthesized, robust=robust
-        )
-    return MultipartyResult(intersection=frozenset(final), outcome=outcome)
+    outcome = run_message_passing(
+        {name: protocol._player for name in names}, inputs, shared_seed=seed
+    )
+    return MultipartyResult(
+        intersection=frozenset(outcome.outputs[names[0]]), outcome=outcome
+    )
 
 
 class CoordinatorIntersection:
@@ -346,19 +266,14 @@ class CoordinatorIntersection:
         return current
 
     def run(
-        self,
-        sets: Sequence[Iterable[int]],
-        *,
-        seed: int = 0,
-        recover: Optional[bool] = None,
+        self, sets: Sequence[Iterable[int]], *, seed: int = 0
     ) -> MultipartyResult:
         """Compute the intersection of ``m`` players' sets.
 
         :param sets: one iterable of elements per player.
         :param seed: replay seed for all randomness.
-        :param recover: ``None`` (default) engages the crash-recovery
-            layer exactly when a fault plan is active; ``True``/``False``
-            force it on/off.  Even with ``False``, a crash degrades to a
-            typed certified-superset result instead of raising.
+
+        Runs through the crash-recovery layer exactly when a fault plan
+        is active.
         """
-        return _run_with_contract(self, sets, seed, recover)
+        return _run_with_contract(self, sets, seed)

@@ -26,7 +26,19 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    FrozenSet,
+    Generator,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.comm.errors import (
     MessageToFinishedPlayer,
@@ -36,6 +48,7 @@ from repro.comm.errors import (
 from repro.comm.engine import Recv, Send
 from repro.faults.state import STATE as _FAULTS
 from repro.obs.state import STATE as _OBS
+from repro.protocols.base import validate_set
 from repro.util.bits import BitString
 from repro.util.rng import PrivateRandomness, SharedRandomness
 
@@ -44,8 +57,29 @@ __all__ = [
     "MultipartyOutcome",
     "RunningTotals",
     "TwoPartyAdapter",
+    "player_inputs",
     "run_message_passing",
 ]
+
+
+def player_inputs(
+    sets: Sequence[Iterable[int]], universe_size: int, max_set_size: int
+) -> Dict[str, FrozenSet[int]]:
+    """Name an m-player instance's players and validate their sets.
+
+    Players are ``p00000, p00001, ...`` in input order (the canonical order
+    the protocols derive their topology from); each set is frozen and
+    checked like a two-party input by
+    :func:`~repro.protocols.base.validate_set` -- ints in ``[0, n)``, at
+    most ``k`` of them.  Raised errors are caller bugs.
+    """
+    if not sets:
+        raise ValueError("need at least one player")
+    inputs: Dict[str, FrozenSet[int]] = {}
+    for index, player_set in enumerate(sets):
+        name = f"p{index:05d}"
+        inputs[name] = validate_set(name, player_set, universe_size, max_set_size)
+    return inputs
 
 
 @dataclass(frozen=True)

@@ -46,9 +46,15 @@ discarded even if it happens to complete (a bystander dying after its
 contribution was merged would otherwise leave the result depending on
 crash timing).  A recovered result is therefore always the survivors'
 intersection -- the differential-oracle tests compare it against a
-crash-free run over the survivors' inputs and require equality.  And as
-in the two-party retry loop, a completed attempt that *corruption* faults
-touched is only a suspect until an independent attempt reproduces it.
+crash-free run over the survivors' inputs and require equality.
+
+The attempt loop itself -- the failure taxonomy, the suspect rule and the
+bound -- is shared with two-party retry (:mod:`repro.faults.attempts`): a
+completed attempt that *corruption* faults touched is only a suspect
+until an independent attempt reproduces it, and an error no fault
+explains (a plain ``ValueError``, a deadlock on an attempt no fault
+touched) propagates instead of degrading.  This module keeps the seeds,
+the per-attempt accounting, the survivor roster and the fallbacks.
 """
 
 from __future__ import annotations
@@ -56,7 +62,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import (
     Any,
-    Dict,
     FrozenSet,
     Iterable,
     List,
@@ -65,11 +70,12 @@ from typing import (
     Tuple,
 )
 
-from repro.comm.errors import ProtocolError
+from repro.faults.attempts import run_attempts
 from repro.faults.state import STATE as _FAULTS
 from repro.multiparty.network import (
     MultipartyOutcome,
     RunningTotals,
+    player_inputs,
     run_message_passing,
 )
 from repro.obs.state import STATE as _OBS
@@ -202,27 +208,6 @@ def recovery_fingerprint(outcome: MultipartyRobustOutcome) -> str:
     ).hexdigest()
 
 
-def _classify(exc: Exception) -> str:
-    from repro.comm.errors import (
-        MessageToFinishedPlayer,
-        ProtocolAborted,
-        ProtocolDeadlock,
-        ProtocolViolation,
-    )
-
-    if isinstance(exc, MessageToFinishedPlayer):
-        return "mail-to-dead"
-    if isinstance(exc, ProtocolDeadlock):
-        return "deadlock"
-    if isinstance(exc, ProtocolAborted):
-        return "aborted"
-    if isinstance(exc, ProtocolViolation):
-        return "violation"
-    if isinstance(exc, ProtocolError):
-        return "protocol-error"
-    return "decode-error"
-
-
 def _emit(event_type: str, **fields: Any) -> None:
     if _OBS.active:
         _OBS.tracer.emit(event_type, **fields)
@@ -251,42 +236,71 @@ def run_with_recovery(
         session; ``None`` uses the process-global plan when installed
         (``REPRO_FAULTS``), else a reliable network.
     :returns: a :class:`MultipartyRobustOutcome`; never raises on channel
-        damage (malformed inputs still raise -- caller bugs, checked
-        before any attempt runs).
+        damage.  Malformed inputs raise ``ValueError`` before any attempt
+        runs, and an attempt's error that no fault explains propagates
+        (see :mod:`repro.faults.attempts`).
     """
     policy = policy if policy is not None else RecoveryPolicy()
-    if not sets:
-        raise ValueError("need at least one player")
-    names = [f"p{index:05d}" for index in range(len(sets))]
-    inputs: Dict[str, FrozenSet[int]] = {
-        name: frozenset(player_set) for name, player_set in zip(names, sets)
-    }
-    for name, player_set in inputs.items():
-        if len(player_set) > protocol.max_set_size:
-            raise ValueError(
-                f"{name} holds {len(player_set)} elements; k="
-                f"{protocol.max_set_size}"
-            )
+    inputs = player_inputs(sets, protocol.universe_size, protocol.max_set_size)
+    names = list(inputs)
     if plan is None and _FAULTS.active:
         plan = _FAULTS.plan
+    # One RunningTotals per attempt, failed ones included: the scheduler
+    # keeps it current as it runs, so a dead attempt's bits and casualties
+    # are on the books whether it finished or raised.
+    ledger: List[RunningTotals] = []
+    final_outcome: Optional[MultipartyOutcome] = None
 
-    live: List[str] = list(names)
-    crashed_all: List[str] = []
-    reasons: List[str] = []
-    total_bits = 0
-    total_rounds = 0
-    recovery_bits = 0
-    recovery_rounds = 0
-    suspect: Optional[FrozenSet[int]] = None
+    def crashed() -> List[str]:
+        return [name for totals in ledger for name in totals.crashed]
 
-    def _result(
+    def survivors() -> List[str]:
+        dead = set(crashed())
+        return [name for name in names if name not in dead]
+
+    def attempt(index: int):
+        nonlocal final_outcome
+        roster = survivors()
+        totals = RunningTotals()
+        ledger.append(totals)
+        final_outcome = run_message_passing(
+            {name: protocol._player for name in roster},
+            {name: inputs[name] for name in roster},
+            shared_seed=recovery_attempt_seed(seed, index),
+            fault_plan=plan,
+            totals=totals,
+        )
+        if totals.crashed:
+            # Discard-on-crash rule: even a completed attempt depends on
+            # crash timing (did the corpse contribute before dying?);
+            # re-running over the survivors pins the result to *their*
+            # intersection, independent of timing.
+            return "crashed"
+        return frozenset(final_outcome.outputs[roster[0]])
+
+    def on_failure(index: int, reason: str) -> bool:
+        live = survivors()
+        _emit(
+            "recovery.attempt",
+            protocol=protocol.name,
+            attempt=index,
+            reason=reason,
+            crashed=len(ledger[-1].crashed),
+            survivors=len(live),
+        )
+        # Stop once at most one player is left: nobody to talk to.
+        return len(live) <= 1
+
+    def result(
         intersection: FrozenSet[int],
         status: str,
         attempts: int,
-        *,
+        reasons: List[str],
         degraded_mode: Optional[str] = None,
-        final_outcome: Optional[MultipartyOutcome] = None,
+        accepted: Optional[MultipartyOutcome] = None,
     ) -> MultipartyRobustOutcome:
+        recovery_bits = sum(totals.total_bits for totals in ledger[1:])
+        recovery_rounds = sum(totals.rounds for totals in ledger[1:])
         _emit(
             "recovery.outcome",
             protocol=protocol.name,
@@ -303,111 +317,40 @@ def run_with_recovery(
             intersection=intersection,
             status=status,
             protocol_name=protocol.name,
-            survivors=tuple(live),
-            crashed=tuple(crashed_all),
+            survivors=tuple(survivors()),
+            crashed=tuple(crashed()),
             attempts=attempts,
-            total_bits=total_bits,
-            total_rounds=total_rounds,
+            total_bits=sum(totals.total_bits for totals in ledger),
+            total_rounds=sum(totals.rounds for totals in ledger),
             recovery_bits=recovery_bits,
             recovery_rounds=recovery_rounds,
             degraded_mode=degraded_mode,
             failure_reasons=reasons,
-            final_outcome=final_outcome,
+            final_outcome=accepted,
         )
 
-    def _crash_count() -> int:
-        return plan.counts.get("crash", 0) if plan is not None else 0
-
-    def _injected() -> int:
-        return plan.injected if plan is not None else 0
-
-    for attempt in range(policy.max_attempts):
-        if len(live) == 1:
-            # A lone survivor needs no communication: its candidate is its
-            # own input, trivially the survivors' exact intersection.
-            return _result(
-                inputs[live[0]],
-                "recovered" if crashed_all else "exact",
-                attempt,
-            )
-        faults_before = _injected()
-        crashes_before = _crash_count()
-        totals = RunningTotals()
-        attempt_live = list(live)
-        failure: Optional[str] = None
-        outcome: Optional[MultipartyOutcome] = None
-        try:
-            outcome = run_message_passing(
-                {name: protocol._player for name in attempt_live},
-                {name: inputs[name] for name in attempt_live},
-                shared_seed=recovery_attempt_seed(seed, attempt),
-                fault_plan=plan,
-                totals=totals,
-            )
-        except (ProtocolError, ValueError) as exc:
-            failure = _classify(exc)
-        total_bits += totals.total_bits
-        total_rounds += totals.rounds
-        if attempt > 0:
-            recovery_bits += totals.total_bits
-            recovery_rounds += totals.rounds
-        newly_crashed = list(totals.crashed)
-        if newly_crashed:
-            crashed_all.extend(newly_crashed)
-            dead = set(newly_crashed)
-            live = [name for name in live if name not in dead]
-        if outcome is not None and failure is None:
-            if newly_crashed:
-                # Discard-on-crash rule: even a completed attempt depends
-                # on crash timing (did the corpse contribute before
-                # dying?); re-running over the survivors pins the result
-                # to *their* intersection, independent of timing.
-                failure = "crashed"
-            else:
-                candidate = outcome.outputs[attempt_live[0]]
-                if candidate is None:  # pragma: no cover - defensive
-                    failure = "root-crashed"
-                else:
-                    candidate = frozenset(candidate)
-                    corruption = (
-                        (_injected() - faults_before)
-                        - (_crash_count() - crashes_before)
-                    )
-                    if corruption == 0 or candidate == suspect:
-                        # Clean attempt, or an independent reproduction of
-                        # a suspect candidate (fresh shared randomness, so
-                        # a consistent corruption cannot replicate).
-                        return _result(
-                            candidate,
-                            "recovered" if crashed_all else "exact",
-                            attempt + 1,
-                            final_outcome=outcome,
-                        )
-                    suspect = candidate
-                    failure = "unconfirmed"
-        reasons.append(failure)
-        _emit(
-            "recovery.attempt",
-            protocol=protocol.name,
-            attempt=attempt,
-            reason=failure,
-            crashed=len(newly_crashed),
-            survivors=len(live),
-        )
-        if not live:
-            # Total extinction: no survivor can output anything.  The
-            # session's certified-superset fallback is the canonical first
-            # player's candidate -- its own input, the last set it held
-            # before the fail-stop took its memory.
-            return _result(
-                inputs[names[0]],
-                "degraded",
-                attempt + 1,
-                degraded_mode="no-survivors",
-            )
-    return _result(
-        inputs[live[0]],
-        "degraded",
-        policy.max_attempts,
-        degraded_mode="superset",
+    if len(names) == 1:
+        return result(inputs[names[0]], "exact", 0, [])
+    candidate, attempts, reasons = run_attempts(
+        policy.max_attempts, plan, attempt, on_failure
     )
+    live = survivors()
+    survived = "recovered" if crashed() else "exact"
+    if candidate is not None:
+        return result(
+            candidate, survived, attempts, reasons, accepted=final_outcome
+        )
+    if not live:
+        # Total extinction: no survivor can output anything.  The
+        # session's certified-superset fallback is the canonical first
+        # player's candidate -- its own input, the last set it held
+        # before the fail-stop took its memory.
+        return result(
+            inputs[names[0]], "degraded", attempts, reasons, "no-survivors"
+        )
+    if attempts < policy.max_attempts:
+        # The loop stopped early on a lone survivor, which needs no
+        # communication: its own input is the survivors' exact
+        # intersection.
+        return result(inputs[live[0]], survived, attempts, reasons)
+    return result(inputs[live[0]], "degraded", attempts, reasons, "superset")

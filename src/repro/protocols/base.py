@@ -22,11 +22,58 @@ from repro.comm.transcript import Transcript
 from repro.obs.state import STATE as _OBS
 
 __all__ = [
+    "validate_set",
     "validate_set_pair",
     "IntersectionOutcome",
     "SetIntersectionProtocol",
     "subcontext",
 ]
+
+
+def validate_set(
+    name: str, raw: Iterable[int], universe_size: int, max_set_size: int
+) -> FrozenSet[int]:
+    """Validate and freeze one party's input: a subset of ``[n]`` with at
+    most ``k`` members (bools pass, being ints).  ``name`` labels errors,
+    which are caller bugs, not protocol failures.
+
+    A frozenset is passed through by reference (no re-freeze copy) and
+    range-checked via ``min``/``max`` instead of a per-element
+    ``isinstance`` loop -- this runs on every trial of every experiment,
+    so the valid-input fast path must stay O(k) with no allocations.  The
+    slow per-element path only runs to produce a precise error message
+    once the cheap checks have already failed.
+    """
+    as_set = raw if isinstance(raw, frozenset) else frozenset(raw)
+    if len(as_set) > max_set_size:
+        raise ValueError(
+            f"{name}'s set has {len(as_set)} elements; bound is k={max_set_size}"
+        )
+    if as_set:
+        try:
+            lo, hi = min(as_set), max(as_set)
+            in_range = (
+                type(lo) is int  # bool passes isinstance(., int); min/max
+                and type(hi) is int  # of a mixed set can hide a stray type
+                and 0 <= lo
+                and hi < universe_size
+            )
+        except TypeError:
+            in_range = False
+        if not in_range:
+            # Slow path: find the exact offender for the error message
+            # (or accept sets that only *look* bad to min/max, e.g.
+            # bools, which are ints by contract).
+            for element in as_set:
+                if (
+                    not isinstance(element, int)
+                    or not 0 <= element < universe_size
+                ):
+                    raise ValueError(
+                        f"{name}'s element {element!r} outside universe "
+                        f"[0, {universe_size})"
+                    )
+    return as_set
 
 
 def validate_set_pair(
@@ -37,49 +84,13 @@ def validate_set_pair(
 ) -> tuple:
     """Validate and normalize an ``INT_k`` instance.
 
-    Checks ``S, T subset of [n]`` and ``|S|, |T| <= k``, returning the sets
-    as frozensets.  Raised errors are caller bugs, not protocol failures.
-
-    Inputs that are already frozensets are passed through by reference (no
-    re-freeze copy) and range-checked via ``min``/``max`` instead of a
-    per-element ``isinstance`` loop -- this runs on every trial of every
-    experiment, so the valid-input fast path must stay O(k) with no
-    allocations.  The slow per-element path only runs to produce a precise
-    error message once the cheap checks have already failed.
+    Checks ``S, T subset of [n]`` and ``|S|, |T| <= k`` with
+    :func:`validate_set`, returning the sets as frozensets.
     """
-    normalized = []
-    for name, raw in (("alice", alice_set), ("bob", bob_set)):
-        as_set = raw if isinstance(raw, frozenset) else frozenset(raw)
-        if len(as_set) > max_set_size:
-            raise ValueError(
-                f"{name}'s set has {len(as_set)} elements; bound is k={max_set_size}"
-            )
-        if as_set:
-            try:
-                lo, hi = min(as_set), max(as_set)
-                in_range = (
-                    type(lo) is int  # bool passes isinstance(., int); min/max
-                    and type(hi) is int  # of a mixed set can hide a stray type
-                    and 0 <= lo
-                    and hi < universe_size
-                )
-            except TypeError:
-                in_range = False
-            if not in_range:
-                # Slow path: find the exact offender for the error message
-                # (or accept sets that only *look* bad to min/max, e.g.
-                # bools, which are ints by contract).
-                for element in as_set:
-                    if (
-                        not isinstance(element, int)
-                        or not 0 <= element < universe_size
-                    ):
-                        raise ValueError(
-                            f"{name}'s element {element!r} outside universe "
-                            f"[0, {universe_size})"
-                        )
-        normalized.append(as_set)
-    return normalized[0], normalized[1]
+    return (
+        validate_set("alice", alice_set, universe_size, max_set_size),
+        validate_set("bob", bob_set, universe_size, max_set_size),
+    )
 
 
 @dataclass

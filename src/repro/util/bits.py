@@ -38,6 +38,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Sequence
 
+from repro.comm.errors import DecodeError
+
 __all__ = [
     "BitString",
     "BitWriter",
@@ -392,9 +394,11 @@ class BitReader:
     Reads are served straight off the string's backing byte buffer (no
     big-int materialization of the message); a ``width``-bit read touches
     only the ``ceil(width/8) + 1`` bytes it spans.  Raises
-    :class:`ValueError` on attempts to read past the end; protocols call
+    :class:`~repro.comm.errors.DecodeError` (a ``ProtocolError`` and a
+    ``ValueError``) on attempts to read past the end; protocols call
     :meth:`expect_exhausted` after decoding a message to assert the message
-    contained exactly what the codec expected.
+    contained exactly what the codec expected.  A negative ``width`` or
+    ``count`` is a caller bug and stays a plain :class:`ValueError`.
     """
 
     __slots__ = ("_bits", "_data", "_length", "_pos")
@@ -408,7 +412,7 @@ class BitReader:
     def read_bit(self) -> int:
         pos = self._pos
         if pos >= self._length:
-            raise ValueError("BitReader: read past end of message")
+            raise DecodeError("BitReader: read past end of message")
         self._pos = pos + 1
         return (self._data[pos >> 3] >> (7 - (pos & 7))) & 1
 
@@ -419,7 +423,7 @@ class BitReader:
         pos = self._pos
         end = pos + width
         if end > self._length:
-            raise ValueError(
+            raise DecodeError(
                 f"BitReader: requested {width} bits with only "
                 f"{self._length - pos} remaining"
             )
@@ -441,7 +445,7 @@ class BitReader:
             raise ValueError(f"count must be >= 0, got {count}")
         if width == 0:
             if count and self._pos > self._length:  # pragma: no cover
-                raise ValueError("BitReader: read past end of message")
+                raise DecodeError("BitReader: read past end of message")
             return [0] * count
         values: List[int] = []
         append = values.append
@@ -469,7 +473,7 @@ class BitReader:
         if width >= 0 and (pos & 7) == 0:
             end = pos + width
             if end > self._length:
-                raise ValueError(
+                raise DecodeError(
                     f"BitReader: requested {width} bits with only "
                     f"{self._length - pos} remaining"
                 )
@@ -492,7 +496,7 @@ class BitReader:
         pos = self._pos
         length = self._length
         if pos >= length:
-            raise ValueError("BitReader: read past end of message")
+            raise DecodeError("BitReader: read past end of message")
         data = self._data
         byte_idx = pos >> 3
         current = data[byte_idx] & (0xFF >> (pos & 7))
@@ -500,11 +504,11 @@ class BitReader:
             byte_idx += 1
             if byte_idx << 3 >= length:
                 # All-zero suffix: the terminating 1 bit never arrives.
-                raise ValueError("BitReader: read past end of message")
+                raise DecodeError("BitReader: read past end of message")
             current = data[byte_idx]
         first_one = (byte_idx << 3) + (8 - current.bit_length())
         if first_one >= length:
-            raise ValueError("BitReader: read past end of message")
+            raise DecodeError("BitReader: read past end of message")
         zeros = first_one - pos
         self._pos = first_one + 1
         # The leading 1 just consumed is the top bit of the payload.
@@ -525,25 +529,25 @@ class BitReader:
         for _ in range(count):
             if pos >= length:
                 self._pos = pos
-                raise ValueError("BitReader: read past end of message")
+                raise DecodeError("BitReader: read past end of message")
             byte_idx = pos >> 3
             current = data[byte_idx] & (0xFF >> (pos & 7))
             while current == 0:
                 byte_idx += 1
                 if byte_idx << 3 >= length:
                     self._pos = pos
-                    raise ValueError("BitReader: read past end of message")
+                    raise DecodeError("BitReader: read past end of message")
                 current = data[byte_idx]
             first_one = (byte_idx << 3) + (8 - current.bit_length())
             if first_one >= length:
                 self._pos = pos
-                raise ValueError("BitReader: read past end of message")
+                raise DecodeError("BitReader: read past end of message")
             zeros = first_one - pos
             pos = first_one + 1
             end = pos + zeros
             if end > length:
                 self._pos = pos
-                raise ValueError(
+                raise DecodeError(
                     f"BitReader: requested {zeros} bits with only "
                     f"{length - pos} remaining"
                 )
@@ -574,7 +578,7 @@ class BitReader:
     def expect_exhausted(self) -> None:
         """Assert the whole message has been consumed."""
         if self.remaining:
-            raise ValueError(
+            raise DecodeError(
                 f"BitReader: {self.remaining} unconsumed bits in message"
             )
 

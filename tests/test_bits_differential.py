@@ -17,6 +17,7 @@ import random
 import pytest
 
 import bigint_bits_reference as ref
+from repro.comm.errors import DecodeError
 from repro.util import bits as new
 
 SEED = 20260805
@@ -198,16 +199,17 @@ class TestWriterReaderDifferential:
             reader.expect_exhausted()
 
     def test_error_parity_on_malformed_reads(self):
-        # Both engines must refuse the same malformed inputs.
-        for make_reader in (
-            lambda: new.BitReader(new.BitString(0, 5)),
-            lambda: ref.BitReader(ref.BitString(0, 5)),
+        # Both engines must refuse the same malformed inputs; the new one
+        # with the typed DecodeError, which is still the oracle's ValueError.
+        for make_reader, error in (
+            (lambda: new.BitReader(new.BitString(0, 5)), DecodeError),
+            (lambda: ref.BitReader(ref.BitString(0, 5)), ValueError),
         ):
-            with pytest.raises(ValueError):
+            with pytest.raises(error):
                 make_reader().read_gamma()  # all-zero suffix, no stop bit
-            with pytest.raises(ValueError):
+            with pytest.raises(error):
                 make_reader().read_uint(6)  # longer than the message
             reader = make_reader()
             reader.read_uint(3)
-            with pytest.raises(ValueError):
+            with pytest.raises(error):
                 reader.expect_exhausted()

@@ -30,20 +30,13 @@ class TestRetryPolicy:
     def test_defaults_valid(self):
         policy = RetryPolicy()
         assert policy.max_attempts >= 1
-        assert policy.delay(0) == 0.0
 
     @pytest.mark.parametrize("kwargs", [
         {"max_attempts": 0},
-        {"backoff_base": -1.0},
-        {"backoff_factor": 0.5},
     ])
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
             RetryPolicy(**kwargs)
-
-    def test_exponential_backoff_schedule(self):
-        policy = RetryPolicy(backoff_base=1.0, backoff_factor=2.0)
-        assert [policy.delay(i) for i in range(4)] == [1.0, 2.0, 4.0, 8.0]
 
 
 class TestAdaptiveBudget:
@@ -166,15 +159,6 @@ class TestRunWithRetry:
         if faulty.attempts > 1:
             # Bits paid for the failed attempt are not forgotten.
             assert faulty.total_bits > clean.total_bits
-
-    def test_simulated_backoff_accrues_on_failures(self, rng):
-        protocol = BucketVerifyProtocol(UNIVERSE, 32)
-        s, t = make_instance(rng, UNIVERSE, 32, 0.5)
-        policy = RetryPolicy(max_attempts=3, backoff_base=1.0)
-        plan = FaultPlan(Drop(1.0), seed=0)
-        outcome = run_with_retry(protocol, s, t, seed=0, policy=policy,
-                                 plan=plan)
-        assert outcome.simulated_delay == 1.0 + 2.0 + 4.0
 
     def test_malformed_inputs_raise_as_caller_bugs(self):
         protocol = BucketVerifyProtocol(UNIVERSE, 4)

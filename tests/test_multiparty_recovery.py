@@ -1,6 +1,6 @@
 """The multiparty crash-recovery layer's property and regression suite.
 
-Four contracts, per ISSUE 10:
+Four contracts:
 
 * **one-sided invariant** (property suite): for every protocol x m x
   randomized crash schedule, the output is the exact intersection or a
@@ -15,9 +15,9 @@ Four contracts, per ISSUE 10:
   ``derive_seed`` lineage, and the same plan seed + crash schedule gives
   an identical transcript fingerprint across serial / thread / process
   executors;
-* **typed degradation** (the bugfix regression): a crash that used to
-  escape ``run()`` as a bare ``MessageToFinishedPlayer`` /
-  ``ProtocolDeadlock`` now returns the typed certified-superset outcome.
+* **typed degradation**: with a fault plan active, ``run()`` returns a
+  crash as a typed outcome, never a bare ``MessageToFinishedPlayer`` /
+  ``ProtocolDeadlock``; malformed inputs raise before any attempt.
 """
 
 import contextlib
@@ -88,7 +88,7 @@ class TestCrashFreeEquivalence:
         universe, sets = make_instance(8, seed=21)
         protocol = protocol_cls(universe, 8)
         with reliable():
-            plain = protocol.run(sets, seed=5, recover=False)
+            plain = protocol.run(sets, seed=5)
             robust = run_with_recovery(protocol, sets, seed=5)
         assert robust.status == "exact"
         assert robust.intersection == plain.intersection == truth_of(sets)
@@ -176,6 +176,27 @@ class TestCrashScheduleProperty:
             sets[int(outcome.survivors[0][1:])]
         )
 
+    @pytest.mark.parametrize("crashes, max_attempts, status, mode, alive", [
+        # A lone survivor answers with the attempts already run.
+        (2, 8, "recovered", None, 1),
+        (3, 8, "degraded", "no-survivors", 0),
+        # Out of budget with one survivor left: degraded, not recovered.
+        (2, 1, "degraded", "superset", 1),
+    ])
+    def test_attempt_counts_at_the_edges(
+        self, crashes, max_attempts, status, mode, alive
+    ):
+        universe, sets = make_instance(3, seed=2)
+        plan = FaultPlan(PlayerCrash(1.0, max_crashes=crashes), seed=4)
+        outcome = run_with_recovery(
+            CoordinatorIntersection(universe, 8), sets, seed=1, plan=plan,
+            policy=RecoveryPolicy(max_attempts=max_attempts),
+        )
+        assert (
+            outcome.status, outcome.degraded_mode, outcome.attempts,
+            len(outcome.survivors),
+        ) == (status, mode, 1, alive)
+
     def test_recovery_charged_honestly(self):
         universe, sets = make_instance(8, seed=21)
         plan = FaultPlan(PlayerCrash(1.0, target="p00003"), seed=11)
@@ -208,7 +229,7 @@ class TestDifferentialOracle:
             s for index, s in enumerate(sets) if index != crash_position
         ]
         with reliable():
-            oracle = protocol.run(survivor_sets, seed=7, recover=False)
+            oracle = protocol.run(survivor_sets, seed=7)
         assert recovered.intersection == oracle.intersection
         assert oracle.intersection == truth_of(survivor_sets)
 
@@ -310,35 +331,9 @@ class TestExecutorInvariance:
 
 
 class TestTypedDegradation:
-    """The bugfix regression: crashes used to escape ``run()`` as bare
-    ``MessageToFinishedPlayer`` / ``ProtocolDeadlock`` errors.  These
-    tests fail before the fix (the exceptions propagate) and pin the
-    typed contract after it."""
-
-    @pytest.mark.parametrize("protocol_cls", PROTOCOL_CLASSES)
-    def test_non_root_crash_returns_typed_outcome(self, protocol_cls):
-        universe, sets = make_instance(8, seed=21)
-        protocol = protocol_cls(universe, 8)
-        with inject(PlayerCrash(1.0, target="p00003"), seed=11):
-            result = protocol.run(sets, seed=5, recover=False)
-        assert result.status == "degraded"
-        assert result.robust is not None
-        assert result.robust.degraded_mode == "superset"
-        assert result.robust.failure_reasons[0] in ("mail-to-dead", "deadlock")
-        assert "p00003" in result.robust.crashed
-        assert truth_of(sets) <= result.intersection
-        # The accounting survives the crash (it used to vanish with the
-        # escaping exception).
-        assert result.total_bits > 0
-
-    @pytest.mark.parametrize("protocol_cls", PROTOCOL_CLASSES)
-    def test_root_crash_returns_typed_outcome(self, protocol_cls):
-        universe, sets = make_instance(8, seed=21)
-        protocol = protocol_cls(universe, 8)
-        with inject(PlayerCrash(1.0, target="p00000"), seed=11):
-            result = protocol.run(sets, seed=5, recover=False)
-        assert result.status == "degraded"
-        assert truth_of(sets) <= result.intersection
+    """``run()`` goes through the recovery layer exactly when a fault plan
+    is active, so a crash comes back as a typed outcome, never a bare
+    ``MessageToFinishedPlayer`` / ``ProtocolDeadlock``."""
 
     @pytest.mark.parametrize("protocol_cls", PROTOCOL_CLASSES)
     def test_active_fault_plan_auto_recovers(self, protocol_cls):
@@ -356,6 +351,51 @@ class TestTypedDegradation:
             result = CoordinatorIntersection(universe, 8).run(sets, seed=5)
         assert result.status == "exact"
         assert result.robust is None
+
+
+class TestInputValidation:
+    """Player sets are checked like two-party inputs -- ints in ``[0, n)``,
+    at most ``k`` -- before any attempt runs, on both entry points."""
+
+    @staticmethod
+    def _no_attempts(protocol):
+        def player(ctx):
+            pytest.fail("an attempt ran on invalid input")
+
+        protocol._player = player
+        return protocol
+
+    @pytest.mark.parametrize("protocol_cls", PROTOCOL_CLASSES)
+    def test_negative_element_raises_before_any_attempt(self, protocol_cls):
+        protocol = self._no_attempts(protocol_cls(1 << 16, 8))
+        sets = [{1, 2}, {-3, 1, 2}, {1, 2, 5}]
+        with pytest.raises(ValueError, match="p00001's element -3"):
+            run_with_recovery(
+                protocol, sets, seed=0, plan=FaultPlan(Churn(0.0), seed=1)
+            )
+
+    @pytest.mark.parametrize("protocol_cls", PROTOCOL_CLASSES)
+    def test_out_of_universe_element_raises_on_both_paths(self, protocol_cls):
+        universe = 1 << 16
+        protocol = self._no_attempts(protocol_cls(universe, 8))
+        sets = [{1, 2}, {1, 2}, {1, 2, universe + 5}]
+        with pytest.raises(ValueError, match="outside universe"):
+            run_with_recovery(protocol, sets, seed=0)
+        with reliable(), pytest.raises(ValueError, match="outside universe"):
+            protocol.run(sets, seed=0)
+
+    @pytest.mark.parametrize("protocol_cls", PROTOCOL_CLASSES)
+    def test_oversized_set_raises(self, protocol_cls):
+        protocol = self._no_attempts(protocol_cls(4096, 2))
+        with pytest.raises(ValueError, match="p00000's set has 3 elements"):
+            protocol.run([{1, 2, 3}, {1}], seed=0)
+
+    def test_bools_pass_as_ints(self):
+        with reliable():
+            result = CoordinatorIntersection(4096, 4).run(
+                [{True, 2}, {1, 2, 3}], seed=0
+            )
+        assert result.intersection == {1, 2}
 
 
 class TestRecoveryObservability:

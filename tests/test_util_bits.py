@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.comm.errors import DecodeError
 from repro.util.bits import (
     BitReader,
     BitString,
@@ -106,13 +107,13 @@ class TestWriterReader:
     def test_read_past_end(self):
         reader = BitReader(BitString.from_str("1"))
         reader.read_bit()
-        with pytest.raises(ValueError):
+        with pytest.raises(DecodeError):
             reader.read_bit()
 
     def test_expect_exhausted_fails_on_leftover(self):
         reader = BitReader(BitString.from_str("10"))
         reader.read_bit()
-        with pytest.raises(ValueError):
+        with pytest.raises(DecodeError):
             reader.expect_exhausted()
 
     def test_write_bits_appends(self):
@@ -199,7 +200,7 @@ class TestUintCodec:
         assert decode_uint(encode_uint(value, 32), 32) == value
 
     def test_exactness_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DecodeError):
             decode_uint(BitString.from_str("101"), 2)
 
 
