@@ -36,7 +36,8 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.api import compute_intersection
 from repro.core.tradeoff import communication_bound, optimal_rounds
@@ -242,25 +243,26 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument(
         "--rates",
         default="0.01,0.05,0.2",
-        help="comma-separated per-message fault probabilities",
+        help="comma-separated fault rates (the table title says what a "
+        "rate means for each model)",
     )
     faults.add_argument(
         "--models",
-        default="bitflip",
-        help="comma-separated channel models "
-        "(bitflip, truncate, drop, duplicate)",
+        default=None,
+        help="comma-separated fault models (default bitflip; two-party: "
+        "bitflip, truncate, drop, duplicate)",
     )
     faults.add_argument(
         "--protocols",
-        default="bucket,amplified",
-        help="comma-separated protocols "
-        "(bucket, basic, tree, amplified, one-round, trivial)",
+        default=None,
+        help="comma-separated protocols (default bucket,amplified; "
+        "bucket, basic, tree, amplified, one-round, trivial)",
     )
     faults.add_argument(
         "--max-attempts",
         type=int,
-        default=5,
-        help="retry budget per trial before degrading",
+        default=None,
+        help="retry budget per trial before degrading (default 5)",
     )
     faults.add_argument(
         "--attempt-bit-budget",
@@ -283,11 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument(
         "--multiparty",
         action="store_true",
-        help="sweep the m-player protocols under crash churn instead: "
-        "rates become per-player whole-run crash probabilities, "
-        "--protocols defaults to coordinator,binary-tree, --models to "
-        "churn, and --max-attempts (default 8 here) bounds the recovery "
-        "layer's BSP attempts",
+        help="sweep the m-player protocols instead: --models defaults "
+        "to churn (also crash, bitflip, truncate, drop, duplicate), "
+        "--protocols to coordinator,binary-tree, and --max-attempts "
+        "(default 8 here) bounds the recovery layer's BSP attempts; "
+        "--attempt-bit-budget and --adaptive-budget do not apply",
     )
     faults.add_argument(
         "--players",
@@ -642,7 +644,7 @@ def _cmd_tradeoff(args, out) -> int:
     return 0
 
 
-def _cmd_protocols(out) -> int:
+def _cmd_protocols(args, out) -> int:
     name_width = max(len(name) for name, _, _ in _PROTOCOL_CATALOG)
     ref_width = max(len(ref) for _, ref, _ in _PROTOCOL_CATALOG)
     for name, ref, guarantee in _PROTOCOL_CATALOG:
@@ -654,31 +656,21 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     """Entry point; returns a process exit code."""
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
-    if args.command == "demo":
-        return _cmd_demo(args, out)
-    if args.command == "intersect":
-        return _cmd_intersect(args, out)
-    if args.command == "tradeoff":
-        return _cmd_tradeoff(args, out)
-    if args.command == "protocols":
-        return _cmd_protocols(out)
-    if args.command == "conformance":
-        return _cmd_conformance(args, out)
-    if args.command == "exact-cc":
-        return _cmd_exact_cc(args, out)
-    if args.command == "render":
-        return _cmd_render(args, out)
-    if args.command == "bench":
-        return _cmd_bench(args, out)
-    if args.command == "trace":
-        return _cmd_trace(args, out)
-    if args.command == "faults":
-        return _cmd_faults(args, out)
-    if args.command == "plan":
-        return _cmd_plan(args, out)
-    if args.command == "serve":
-        return _cmd_serve(args, out)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    command = {
+        "demo": _cmd_demo,
+        "intersect": _cmd_intersect,
+        "tradeoff": _cmd_tradeoff,
+        "protocols": _cmd_protocols,
+        "conformance": _cmd_conformance,
+        "exact-cc": _cmd_exact_cc,
+        "render": _cmd_render,
+        "bench": _cmd_bench,
+        "trace": _cmd_trace,
+        "faults": _cmd_faults,
+        "plan": _cmd_plan,
+        "serve": _cmd_serve,
+    }[args.command]
+    return command(args, out)
 
 
 def _load_json_report(path: str, out):
@@ -695,9 +687,15 @@ def _load_json_report(path: str, out):
         return None
 
 
-def _cmd_bench(args, out) -> int:
+def _write_json(path: str, document, *, sort_keys: bool = False) -> None:
     import json
 
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2, sort_keys=sort_keys)
+        handle.write("\n")
+
+
+def _cmd_bench(args, out) -> int:
     from repro.perf.schema import bench_report_warnings, validate_bench_report
 
     if args.validate is not None:
@@ -741,10 +739,11 @@ def _cmd_bench(args, out) -> int:
         loop = report["e1_trial_loop"]
         print(f"wrote {args.out}", file=out)
         print(
-            f"e1 loop: {loop['trials']} trials, "
-            f"speedup {loop['speedup_vs_serial']:.2f}x vs serial-uncached "
-            f"({loop['speedup_cached_only']:.2f}x from caching alone), "
-            f"bit_identical={loop['bit_identical']}",
+            f"e1 loop: {loop['trials']} trials, caching "
+            f"{loop['serial_uncached_s'] / loop['serial_cached_s']:.2f}x "
+            f"(serial uncached/cached), {loop['workers']} workers "
+            f"{loop['serial_cached_s'] / loop['parallel_s']:.2f}x "
+            f"(serial cached/parallel), bit_identical={loop['bit_identical']}",
             file=out,
         )
     for warning in bench_report_warnings(report):
@@ -772,9 +771,7 @@ def _cmd_bench(args, out) -> int:
         return 2
     print(format_comparison(result), file=out)
     if args.compare_out is not None:
-        with open(args.compare_out, "w", encoding="utf-8") as handle:
-            json.dump(result, handle, indent=2)
-            handle.write("\n")
+        _write_json(args.compare_out, result)
         print(f"wrote {args.compare_out}", file=out)
     return 0 if result["ok"] else 1
 
@@ -901,306 +898,311 @@ def _cmd_trace(args, out) -> int:
     return 0 if report.passed else 1
 
 
-def _write_table(path: str, result, out) -> None:
-    """Write a sweep's cells + cache stats as a JSON artifact."""
-    import json
-
-    document = {
-        "plan": result.plan.name,
-        "analysis": result.plan.analysis,
-        "counters_sha256": result.counters_sha256,
-        "cells": result.cells,
-        "stats": result.stats(),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"\nsurvival table written to {path}", file=out)
+#: What a fault rate means for each model; the sweep title names it.
+_RATE_MEANINGS = {
+    "churn": "per-player whole-run crash probability",
+    "crash": "per-player crash probability per superstep",
+}
 
 
-def _cmd_faults_multiparty(args, out) -> int:
-    from repro.faults.models import MODEL_FACTORIES, FaultConfigError
-    from repro.plans import Plan, ProtocolSpec, RetrySpec, run_plan
-    from repro.plans.registry import MULTIPARTY_PROTOCOLS
+def _rate_meaning(model_names) -> str:
+    groups: Dict[str, List[str]] = {}
+    for name in model_names:
+        meaning = _RATE_MEANINGS.get(name, "per-message fault probability")
+        groups.setdefault(meaning, []).append(name)
+    if len(groups) == 1:
+        return next(iter(groups))
+    return "; ".join(
+        f"{', '.join(names)}: {meaning}" for meaning, names in groups.items()
+    )
+
+
+def _two_party_instances(args) -> tuple:
+    from repro.workloads import Distribution, WorkloadSpec
+
+    return (
+        WorkloadSpec(
+            universe_size=1 << args.log_universe,
+            set_size=args.k,
+            overlap_fraction=args.overlap,
+            distribution=Distribution.UNIFORM,
+        ),
+    )
+
+
+def _multiparty_instances(args) -> tuple:
     from repro.workloads import MultipartySpec
 
-    universe = 1 << args.log_universe
-    multiparty_models = (
-        "churn",
-        "crash",
-        "bitflip",
-        "truncate",
-        "drop",
-        "duplicate",
-    )
-    # Mode-sensitive defaults: argparse can't vary them per flag, so the
-    # two-party defaults are re-read as "unset" here.
-    model_names = [m.strip() for m in args.models.split(",") if m.strip()]
-    if args.models == "bitflip":
-        model_names = ["churn"]
-    protocol_names = [p.strip() for p in args.protocols.split(",") if p.strip()]
-    if args.protocols == "bucket,amplified":
-        protocol_names = ["coordinator", "binary-tree"]
-    max_attempts = 8 if args.max_attempts == 5 else args.max_attempts
-
     try:
-        rates = [float(rate) for rate in args.rates.split(",") if rate.strip()]
+        players = [int(count) for count in _split(args.players)]
+    except ValueError:
+        raise ValueError(f"bad --players value {args.players!r}") from None
+    if not players or any(count < 2 for count in players):
+        raise ValueError(f"--players needs counts >= 2, got {args.players!r}")
+    common = args.common if args.common is not None else max(1, args.k // 8)
+    return tuple(
+        MultipartySpec(
+            universe_size=1 << args.log_universe,
+            set_size=args.k,
+            num_players=count,
+            common_size=common,
+        )
+        for count in players
+    )
+
+
+@dataclass(frozen=True)
+class _FaultsMode:
+    """What the two-party and the m-player ``repro faults`` sweeps differ
+    in.  ``instances(args)`` builds the instance axis (``ValueError`` on
+    bad flags); ``title`` and ``row`` are ``str.format`` templates."""
+
+    models: Tuple[str, ...]
+    model_noun: str
+    registry: Mapping[str, Callable]
+    protocol_noun: str
+    instances: Callable
+    default_models: str
+    default_protocols: str
+    default_attempts: int
+    max_shard_size: int
+    plan_name: str
+    analysis: str
+    label: Callable  # (protocol name, args) -> the row's protocol label
+    title: str
+    header: str
+    row: str
+    footnote: str
+
+
+def _faults_mode(multiparty: bool) -> _FaultsMode:
+    from repro.plans.model import ProtocolSpec
+    from repro.plans.registry import (
+        MULTIPARTY_PROTOCOLS,
+        PROTOCOLS,
+        protocol_display_name,
+    )
+
+    if multiparty:
+        return _FaultsMode(
+            models=(
+                "churn", "crash", "bitflip", "truncate", "drop", "duplicate"
+            ),
+            model_noun="multiparty fault model",
+            registry=MULTIPARTY_PROTOCOLS,
+            protocol_noun="multiparty protocol",
+            instances=_multiparty_instances,
+            default_models="churn",
+            default_protocols="coordinator,binary-tree",
+            default_attempts=8,
+            max_shard_size=8,
+            plan_name="multiparty-churn-sweep",
+            analysis="multiparty-survival",
+            label=lambda name, args: name,
+            title="multiparty fault sweep: universe 2^{args.log_universe}, "
+            "k={args.k}, core={instances[0].common_size}, {args.trials} "
+            "trials/cell, recovery budget {attempts} attempts (rate = {rate})",
+            header=(
+                f"{'protocol':<13}{'model':<9}{'rate':>6}{'m':>5}  "
+                f"{'survived%':>9}  {'exact%':>7}  {'recovered%':>10}  "
+                f"{'degraded%':>9}  {'crashed':>7}  {'attempts':>8}  "
+                f"{'bits/trial':>11}  {'recovery%':>9}"
+            ),
+            row="{label:<13}{model:<9}{rate:>6.3f}{instance[num_players]:>5}  "
+            "{pct[survived]:>9.1f}  {pct[exact]:>7.1f}  "
+            "{pct[recovered]:>10.1f}  {pct[degraded]:>9.1f}  "
+            "{per[crashed]:>7.2f}  {per[attempts]:>8.2f}  {per[bits]:>11.0f}  "
+            "{recovery:>9.1f}",
+            footnote="survived: the session still produced the survivors' "
+            "exact intersection (exact = nobody crashed,\nrecovered = re-run "
+            "over survivors); degraded: recovery budget exhausted, a "
+            "certified superset\n(one player's own input) returned instead.  "
+            "recovery% is the share of bits spent on re-runs.",
+        )
+    # Reorder and crash are round/player faults of the multiparty network;
+    # the two-party sweep covers the per-payload channel models.
+    return _FaultsMode(
+        models=("bitflip", "truncate", "drop", "duplicate"),
+        model_noun="two-party fault model",
+        registry=PROTOCOLS,
+        protocol_noun="protocol",
+        instances=_two_party_instances,
+        default_models="bitflip",
+        default_protocols="bucket,amplified",
+        default_attempts=5,
+        max_shard_size=32,
+        plan_name="faults-sweep",
+        analysis="survival",
+        label=lambda name, args: protocol_display_name(
+            ProtocolSpec(name), 1 << args.log_universe, args.k
+        ),
+        title="fault sweep: universe 2^{args.log_universe}, k={args.k}, "
+        "{args.trials} trials/cell, retry budget {attempts} attempts "
+        "(rate = {rate})",
+        header=(
+            f"{'protocol':<24}{'model':<11}{'rate':>6}  {'exact%':>7}  "
+            f"{'inexact%':>8}  {'degraded%':>9}  {'attempts':>8}  "
+            f"{'faults/trial':>12}  {'bits/trial':>11}"
+        ),
+        row="{label:<24}{model:<11}{rate:>6.3f}  {pct[exact]:>7.1f}  "
+        "{pct[inexact]:>8.1f}  {pct[degraded]:>9.1f}  {per[attempts]:>8.2f}  "
+        "{per[faults]:>12.1f}  {per[bits]:>11.0f}",
+        # An *inexact* (agreed-but-wrong) cell is not an error exit: the
+        # equality check certifies agreement, and agreement implies
+        # exactness only over a reliable channel (DESIGN §9) -- at high
+        # fault rates both parties can consistently lose the same element,
+        # and the sweep's whole point is to measure how often.
+        footnote="exact: verified and equal to S ∩ T; inexact: verified but "
+        "corrupted consistently on both sides;\ndegraded: retry budget "
+        "exhausted, certified supersets (own inputs) returned instead.",
+    )
+
+
+def _split(value: str) -> List[str]:
+    return [item.strip() for item in value.split(",") if item.strip()]
+
+
+def _faults_plan(args, mode: _FaultsMode, out):
+    """The sweep's plan, or ``None`` after printing a usage error.
+
+    Cells enumerate protocol (outer) x instance x fault spec (inner,
+    models x rates), the table's row order.  Running through the plan
+    layer means an active ``$REPRO_PLAN_CACHE`` makes repeated sweeps
+    incremental, for free.
+    """
+    from repro.faults.models import MODEL_FACTORIES, FaultConfigError
+    from repro.plans import Plan, ProtocolSpec, RetrySpec
+
+    if args.multiparty and (
+        args.attempt_bit_budget is not None or args.adaptive_budget
+    ):
+        print(
+            "--attempt-bit-budget and --adaptive-budget tune two-party "
+            "retry; m-player recovery never reads them",
+            file=out,
+        )
+        return None
+    model_names = _split(args.models or mode.default_models)
+    protocol_names = _split(args.protocols or mode.default_protocols)
+    try:
+        rates = [float(rate) for rate in _split(args.rates)]
     except ValueError:
         print(f"bad --rates value {args.rates!r}", file=out)
-        return 2
-    try:
-        players = [
-            int(count) for count in args.players.split(",") if count.strip()
-        ]
-    except ValueError:
-        print(f"bad --players value {args.players!r}", file=out)
-        return 2
-    if not players or any(count < 2 for count in players):
-        print(f"--players needs counts >= 2, got {args.players!r}", file=out)
-        return 2
+        return None
     for model_name in model_names:
-        if model_name not in multiparty_models:
+        if model_name not in mode.models:
             print(
-                f"unknown multiparty fault model {model_name!r} "
-                f"(know: {', '.join(multiparty_models)})",
+                f"unknown {mode.model_noun} {model_name!r} "
+                f"(know: {', '.join(mode.models)})",
                 file=out,
             )
-            return 2
+            return None
     for protocol_name in protocol_names:
-        if protocol_name not in MULTIPARTY_PROTOCOLS:
+        if protocol_name not in mode.registry:
             print(
-                f"unknown multiparty protocol {protocol_name!r} "
-                f"(know: {', '.join(sorted(MULTIPARTY_PROTOCOLS))})",
+                f"unknown {mode.protocol_noun} {protocol_name!r} "
+                f"(know: {', '.join(sorted(mode.registry))})",
                 file=out,
             )
-            return 2
+            return None
     for model_name in model_names:
         for rate in rates:
             try:
                 MODEL_FACTORIES[model_name](rate)
             except FaultConfigError as exc:
                 print(f"bad rate {rate} for {model_name}: {exc}", file=out)
-                return 2
-    common = args.common if args.common is not None else max(1, args.k // 8)
+                return None
     try:
-        instances = tuple(
-            MultipartySpec(
-                universe_size=universe,
-                set_size=args.k,
-                num_players=count,
-                common_size=common,
-            )
-            for count in players
+        return Plan(
+            name=mode.plan_name,
+            analysis=mode.analysis,
+            protocols=tuple(ProtocolSpec(name) for name in protocol_names),
+            instances=mode.instances(args),
+            fault_specs=tuple(
+                f"{model_name}@{rate!r}"
+                for model_name in model_names
+                for rate in rates
+            ),
+            trials=args.trials,
+            seed=args.seed,
+            shard_size=max(1, min(args.trials, mode.max_shard_size)),
+            retry=RetrySpec(
+                max_attempts=(
+                    mode.default_attempts
+                    if args.max_attempts is None
+                    else args.max_attempts
+                ),
+                attempt_bit_budget=args.attempt_bit_budget,
+                adaptive_budget=args.adaptive_budget,
+            ),
         )
     except ValueError as exc:
-        print(f"bad multiparty instance: {exc}", file=out)
-        return 2
+        print(f"bad sweep: {exc}", file=out)
+        return None
 
-    fault_specs = tuple(
-        f"{model_name}@{rate!r}"
-        for model_name in model_names
-        for rate in rates
-    )
-    plan = Plan(
-        name="multiparty-churn-sweep",
-        analysis="multiparty-survival",
-        protocols=tuple(ProtocolSpec(name) for name in protocol_names),
-        instances=instances,
-        fault_specs=fault_specs,
-        trials=args.trials,
-        seed=args.seed,
-        shard_size=max(1, min(args.trials, 8)),
-        retry=RetrySpec(max_attempts=max_attempts),
-    )
-    result = run_plan(plan, workers=args.workers)
 
+def _print_sweep_table(args, mode: _FaultsMode, result, out) -> None:
+    plan = result.plan
+    models = dict.fromkeys(spec.split("@")[0] for spec in plan.fault_specs)
     print(
-        f"multiparty churn sweep: universe 2^{args.log_universe}, "
-        f"k={args.k}, core={common}, {args.trials} trials/cell, recovery "
-        f"budget {max_attempts} attempts (rate = per-player whole-run "
-        f"crash probability)",
+        mode.title.format(
+            args=args,
+            instances=plan.instances,
+            attempts=plan.retry.max_attempts,
+            rate=_rate_meaning(models),
+        ),
         file=out,
     )
-    header = (
-        f"{'protocol':<13}{'model':<9}{'rate':>6}{'m':>5}  "
-        f"{'survived%':>9}  {'exact%':>7}  {'recovered%':>10}  "
-        f"{'degraded%':>9}  {'crashed':>7}  {'attempts':>8}  "
-        f"{'bits/trial':>11}  {'recovery%':>9}"
-    )
-    print(header, file=out)
-    cell_rows = iter(result.cells)
-    for protocol_name in protocol_names:
-        for count in players:
-            for model_name in model_names:
-                for rate in rates:
-                    aggregate = next(cell_rows)["aggregate"]
-                    trials = aggregate["trials"]
-                    bits = aggregate["bits"]
-                    recovery_share = (
-                        100.0 * aggregate["recovery_bits"] / bits
-                        if bits
-                        else 0.0
-                    )
-                    print(
-                        f"{protocol_name:<13}{model_name:<9}{rate:>6.3f}"
-                        f"{count:>5}  "
-                        f"{100.0 * aggregate['survived'] / trials:>9.1f}  "
-                        f"{100.0 * aggregate['exact'] / trials:>7.1f}  "
-                        f"{100.0 * aggregate['recovered'] / trials:>10.1f}  "
-                        f"{100.0 * aggregate['degraded'] / trials:>9.1f}  "
-                        f"{aggregate['crashed'] / trials:>7.2f}  "
-                        f"{aggregate['attempts'] / trials:>8.2f}  "
-                        f"{bits / trials:>11.0f}  "
-                        f"{recovery_share:>9.1f}",
-                        file=out,
-                    )
+    labels = {spec.name: mode.label(spec.name, args) for spec in plan.protocols}
+    print(mode.header, file=out)
+    for cell in result.cells:
+        aggregate = cell["aggregate"]
+        trials, bits = aggregate["trials"], aggregate["bits"]
+        model_name, rate = cell["fault_spec"].split("@")
+        print(
+            mode.row.format(
+                label=labels[cell["protocol"]["name"]],
+                model=model_name,
+                rate=float(rate),
+                instance=cell["instance"],
+                pct={key: 100.0 * n / trials for key, n in aggregate.items()},
+                per={key: n / trials for key, n in aggregate.items()},
+                recovery=(
+                    100.0 * aggregate.get("recovery_bits", 0) / bits
+                    if bits
+                    else 0.0
+                ),
+            ),
+            file=out,
+        )
     if result.shards_cached:
         print(
             f"\nshard cache: {result.shards_cached}/{result.shards_total} "
             f"shards reused",
             file=out,
         )
-    print(
-        "\nsurvived: the session still produced the survivors' exact "
-        "intersection (exact = nobody crashed,\nrecovered = re-run over "
-        "survivors); degraded: recovery budget exhausted, a certified "
-        "superset\n(one player's own input) returned instead.  recovery% "
-        "is the share of bits spent on re-runs.",
-        file=out,
-    )
-    if args.table_out:
-        _write_table(args.table_out, result, out)
-    return 0
+    print("\n" + mode.footnote, file=out)
 
 
 def _cmd_faults(args, out) -> int:
-    from repro.faults.models import MODEL_FACTORIES, FaultConfigError
-    from repro.plans import Plan, ProtocolSpec, RetrySpec, run_plan
-    from repro.plans.registry import PROTOCOLS, protocol_display_name
-    from repro.workloads import Distribution, WorkloadSpec
+    from repro.plans import run_plan
 
-    if args.multiparty:
-        return _cmd_faults_multiparty(args, out)
-
-    universe = 1 << args.log_universe
-    # Reorder and crash are round/player faults of the multiparty network;
-    # the two-party sweep covers the per-payload channel models.
-    two_party_models = ("bitflip", "truncate", "drop", "duplicate")
-
-    try:
-        rates = [float(rate) for rate in args.rates.split(",") if rate.strip()]
-    except ValueError:
-        print(f"bad --rates value {args.rates!r}", file=out)
+    mode = _faults_mode(args.multiparty)
+    plan = _faults_plan(args, mode, out)
+    if plan is None:
         return 2
-    model_names = [m.strip() for m in args.models.split(",") if m.strip()]
-    protocol_names = [p.strip() for p in args.protocols.split(",") if p.strip()]
-    for model_name in model_names:
-        if model_name not in two_party_models:
-            print(
-                f"unknown two-party fault model {model_name!r} "
-                f"(know: {', '.join(two_party_models)})",
-                file=out,
-            )
-            return 2
-    for protocol_name in protocol_names:
-        if protocol_name not in PROTOCOLS:
-            print(
-                f"unknown protocol {protocol_name!r} "
-                f"(know: {', '.join(sorted(PROTOCOLS))})",
-                file=out,
-            )
-            return 2
-    for model_name in model_names:
-        for rate in rates:
-            try:
-                MODEL_FACTORIES[model_name](rate)
-            except FaultConfigError as exc:
-                print(f"bad rate {rate} for {model_name}: {exc}", file=out)
-                return 2
-
-    # The sweep is one declarative plan: cells enumerate protocol (outer) x
-    # fault spec (inner, models x rates), matching the table's row order.
-    # Running through the plan layer means an active $REPRO_PLAN_CACHE
-    # makes repeated sweeps incremental, for free.
-    fault_specs = tuple(
-        f"{model_name}@{rate!r}"
-        for model_name in model_names
-        for rate in rates
-    )
-    plan = Plan(
-        name="faults-sweep",
-        analysis="survival",
-        protocols=tuple(ProtocolSpec(name) for name in protocol_names),
-        instances=(
-            WorkloadSpec(
-                universe_size=universe,
-                set_size=args.k,
-                overlap_fraction=args.overlap,
-                distribution=Distribution.UNIFORM,
-            ),
-        ),
-        fault_specs=fault_specs,
-        trials=args.trials,
-        seed=args.seed,
-        shard_size=max(1, min(args.trials, 32)),
-        retry=RetrySpec(
-            max_attempts=args.max_attempts,
-            attempt_bit_budget=args.attempt_bit_budget,
-            adaptive_budget=args.adaptive_budget,
-        ),
-    )
     result = run_plan(plan, workers=args.workers)
-
-    print(
-        f"fault sweep: universe 2^{args.log_universe}, k={args.k}, "
-        f"{args.trials} trials/cell, retry budget {args.max_attempts} "
-        f"attempts (rate = per-message fault probability)",
-        file=out,
-    )
-    header = (
-        f"{'protocol':<24}{'model':<11}{'rate':>6}  {'exact%':>7}  "
-        f"{'inexact%':>8}  {'degraded%':>9}  {'attempts':>8}  "
-        f"{'faults/trial':>12}  {'bits/trial':>11}"
-    )
-    print(header, file=out)
-    cell_rows = iter(result.cells)
-    for protocol_name in protocol_names:
-        display = protocol_display_name(
-            ProtocolSpec(protocol_name), universe, args.k
-        )
-        for model_name in model_names:
-            for rate in rates:
-                aggregate = next(cell_rows)["aggregate"]
-                trials = aggregate["trials"]
-                print(
-                    f"{display:<24}{model_name:<11}{rate:>6.3f}  "
-                    f"{100.0 * aggregate['exact'] / trials:>7.1f}  "
-                    f"{100.0 * aggregate['inexact'] / trials:>8.1f}  "
-                    f"{100.0 * aggregate['degraded'] / trials:>9.1f}  "
-                    f"{aggregate['attempts'] / trials:>8.2f}  "
-                    f"{aggregate['faults'] / trials:>12.1f}  "
-                    f"{aggregate['bits'] / trials:>11.0f}",
-                    file=out,
-                )
-    if result.shards_cached:
-        print(
-            f"\nshard cache: {result.shards_cached}/{result.shards_total} "
-            f"shards reused",
-            file=out,
-        )
-    # An *inexact* (agreed-but-wrong) cell is not an error exit: the
-    # equality check certifies agreement, and agreement implies exactness
-    # only over a reliable channel (DESIGN §9) -- at high fault rates both
-    # parties can consistently lose the same element, and the sweep's whole
-    # point is to measure how often.
-    print(
-        "\nexact: verified and equal to S ∩ T; inexact: verified but "
-        "corrupted consistently on both sides;\ndegraded: retry budget "
-        "exhausted, certified supersets (own inputs) returned instead.",
-        file=out,
-    )
+    _print_sweep_table(args, mode, result, out)
     if args.table_out:
-        _write_table(args.table_out, result, out)
+        document = {
+            "plan": plan.name,
+            "analysis": plan.analysis,
+            "counters_sha256": result.counters_sha256,
+            "cells": result.cells,
+            "stats": result.stats(),
+        }
+        _write_json(args.table_out, document, sort_keys=True)
+        print(f"\nsurvival table written to {args.table_out}", file=out)
     return 0
 
 
@@ -1209,20 +1211,12 @@ def _plan_from_args(args, out):
 
     Returns ``None`` after printing the problem (callers exit 2).
     """
-    import json
-
     from repro.plans import Plan, ProtocolSpec, RetrySpec, plan_from_dict
     from repro.workloads import Distribution, WorkloadSpec
 
     if args.file is not None:
-        try:
-            with open(args.file, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except OSError as exc:
-            print(f"cannot read {args.file}: {exc}", file=out)
-            return None
-        except json.JSONDecodeError as exc:
-            print(f"{args.file}: not valid JSON ({exc})", file=out)
+        document = _load_json_report(args.file, out)
+        if document is None:
             return None
         try:
             return plan_from_dict(document)
@@ -1230,18 +1224,17 @@ def _plan_from_args(args, out):
             print(f"{args.file}: {exc}", file=out)
             return None
 
-    protocol_names = [p.strip() for p in args.protocols.split(",") if p.strip()]
     if args.fault_specs is not None:
-        fault_specs = tuple(
-            spec.strip() for spec in args.fault_specs.split(",") if spec.strip()
-        )
+        fault_specs = tuple(_split(args.fault_specs))
     else:
         fault_specs = (None,)
     try:
         return Plan(
             name=args.name,
             analysis=args.analysis,
-            protocols=tuple(ProtocolSpec(name) for name in protocol_names),
+            protocols=tuple(
+                ProtocolSpec(name) for name in _split(args.protocols)
+            ),
             instances=(
                 WorkloadSpec(
                     universe_size=1 << args.log_universe,
@@ -1266,8 +1259,6 @@ def _plan_from_args(args, out):
 
 
 def _cmd_plan(args, out) -> int:
-    import json
-
     from repro.plans import ShardCache, compile_plan, plan_to_dict, run_plan
 
     plan = _plan_from_args(args, out)
@@ -1311,9 +1302,7 @@ def _cmd_plan(args, out) -> int:
     )
 
     if args.stats_out is not None:
-        with open(args.stats_out, "w", encoding="utf-8") as handle:
-            json.dump(result.stats(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.stats_out, result.stats(), sort_keys=True)
 
     if result.interrupted:
         print(
@@ -1356,9 +1345,7 @@ def _cmd_plan(args, out) -> int:
             "counters_sha256": result.counters_sha256,
             "cells": result.cells,
         }
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.out, document, sort_keys=True)
         print(f"wrote {args.out}", file=out)
     return 0
 
@@ -1368,8 +1355,6 @@ def _load_mix_from_args(args, out):
 
     Returns ``None`` after printing the problem (callers exit 2).
     """
-    import json
-
     from repro.serve import LoadMix, mix_from_dict
 
     if args.mix is not None:
@@ -1382,9 +1367,7 @@ def _load_mix_from_args(args, out):
             print(f"{args.mix}: {exc}", file=out)
             return None
     try:
-        set_sizes = tuple(
-            int(value) for value in args.set_sizes.split(",") if value.strip()
-        )
+        set_sizes = tuple(int(value) for value in _split(args.set_sizes))
     except ValueError:
         print(f"bad --set-sizes value {args.set_sizes!r}", file=out)
         return None
@@ -1406,8 +1389,6 @@ def _load_mix_from_args(args, out):
 
 
 def _cmd_serve_load(args, out) -> int:
-    import json
-
     from repro.serve import latency_histogram, run_load
 
     mix = _load_mix_from_args(args, out)
@@ -1491,14 +1472,10 @@ def _cmd_serve_load(args, out) -> int:
         print(f"  serial_match: {report.serial_match}", file=out)
 
     if args.hist_out is not None:
-        with open(args.hist_out, "w", encoding="utf-8") as handle:
-            json.dump(latency_histogram(report.latencies_ms), handle, indent=2)
-            handle.write("\n")
+        _write_json(args.hist_out, latency_histogram(report.latencies_ms))
         print(f"wrote {args.hist_out}", file=out)
     if args.report_out is not None:
-        with open(args.report_out, "w", encoding="utf-8") as handle:
-            json.dump(report.as_dict(), handle, indent=2)
-            handle.write("\n")
+        _write_json(args.report_out, report.as_dict())
         print(f"wrote {args.report_out}", file=out)
 
     if args.check_serial and report.serial_match is not True:
@@ -1507,65 +1484,53 @@ def _cmd_serve_load(args, out) -> int:
     if args.require_no_shed and report.shed > 0:
         print(f"FAIL: {report.shed} operation(s) shed", file=out)
         return 1
-    if args.expect_shed:
-        # Every non-ok reply must be a typed overloaded shed; anything in
-        # ``errors`` means an op was dropped without the typed contract.
-        if report.shed == 0:
-            print("FAIL: expected shedding, none happened", file=out)
-            return 1
-        if report.errors:
-            print(
-                f"FAIL: {len(report.errors)} non-overloaded error repl(ies) "
-                f"under overload",
-                file=out,
-            )
-            return 1
-        if report.ops_ok + report.shed != report.ops_total:
-            print("FAIL: some operations were never answered", file=out)
-            return 1
-        print(
+    # The overload gate: every non-ok reply must be a typed overloaded
+    # shed.  The fault-mix gate: damage must surface as typed degradation
+    # (ok replies carrying degraded=true).  For both, anything in
+    # ``errors`` or a silent drop breaks the typed contract.
+    gates = (
+        (
+            args.expect_shed,
+            report.shed,
+            "shedding",
+            "non-overloaded error repl(ies) under overload",
             f"backpressure OK: every one of the {report.shed} shed op(s) "
             f"got a typed overloaded reply",
-            file=out,
-        )
-    if args.expect_degraded:
-        # The fault-mix gate: damage must surface as typed degradation
-        # (ok replies carrying degraded=true), never as untyped errors or
-        # silent drops.
-        if report.degraded == 0:
-            print("FAIL: expected degraded operations, none happened", file=out)
+        ),
+        (
+            args.expect_degraded,
+            report.degraded,
+            "degraded operations",
+            "untyped error repl(ies) under faults",
+            f"fault degradation OK: {report.degraded} op(s) degraded to "
+            f"the typed certified-superset contract, zero untyped errors",
+        ),
+    )
+    for expected, count, noun, errors_note, passed in gates:
+        if not expected:
+            continue
+        if count == 0:
+            print(f"FAIL: expected {noun}, none happened", file=out)
             return 1
         if report.errors:
-            print(
-                f"FAIL: {len(report.errors)} untyped error repl(ies) "
-                f"under faults",
-                file=out,
-            )
+            print(f"FAIL: {len(report.errors)} {errors_note}", file=out)
             return 1
         if report.ops_ok + report.shed != report.ops_total:
             print("FAIL: some operations were never answered", file=out)
             return 1
-        print(
-            f"fault degradation OK: {report.degraded} op(s) degraded to "
-            f"the typed certified-superset contract, zero untyped errors",
-            file=out,
-        )
+        print(passed, file=out)
     return 0
 
 
 def _cmd_serve(args, out) -> int:
     import asyncio
-    import json
-
     if args.serve_command == "load":
         return _cmd_serve_load(args, out)
 
     if args.serve_command == "mix":
         from repro.serve import DEFAULT_MIX, mix_to_dict
 
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(mix_to_dict(DEFAULT_MIX), handle, indent=2)
-            handle.write("\n")
+        _write_json(args.out, mix_to_dict(DEFAULT_MIX))
         print(f"wrote {args.out} (edit, then: repro serve load --mix {args.out})",
               file=out)
         return 0
@@ -1639,24 +1604,15 @@ def _cmd_render(args, out) -> int:
 
 
 def _cmd_conformance(args, out) -> int:
-    from repro.core.amplify import AmplifiedIntersection
-    from repro.protocols.bucket_verify import BucketVerifyProtocol
-    from repro.protocols.one_round import OneRoundHashingProtocol
-    from repro.protocols.sqrt_k import SqrtKProtocol
-    from repro.protocols.trivial import TrivialExchangeProtocol
+    from repro.plans.model import ProtocolSpec
+    from repro.plans.registry import build_protocol
     from repro.testing import check_intersection_contract
 
-    n = 1 << args.log_universe
-    factories = {
-        "tree": lambda: TreeProtocol(n, args.k),
-        "one-round": lambda: OneRoundHashingProtocol(n, args.k),
-        "trivial": lambda: TrivialExchangeProtocol(n, args.k),
-        "bucket": lambda: BucketVerifyProtocol(n, args.k),
-        "sqrt-k": lambda: SqrtKProtocol(n, args.k),
-        "amplified": lambda: AmplifiedIntersection(n, args.k),
-    }
+    protocol = build_protocol(
+        ProtocolSpec(args.protocol), 1 << args.log_universe, args.k
+    )
     report = check_intersection_contract(
-        factories[args.protocol](), failure_budget=args.failure_budget
+        protocol, failure_budget=args.failure_budget
     )
     print(str(report), file=out)
     return 0 if report.passed else 1

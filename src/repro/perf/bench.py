@@ -1,12 +1,12 @@
 """The core microbenchmark suite behind ``BENCH_core.json``.
 
 Times the simulator's hot layers -- engine round-trips, batched equality,
-full tree-protocol runs, bit-codec operations -- plus the headline number:
-the E1 tree-tradeoff trial loop, run three ways (seed-equivalent uncached
-serial, hot-cached serial, hot-cached parallel via
-:func:`repro.perf.run_trials`).  The parallel and serial loops are checked
-bit-identical on their communication counters before any speedup is
-reported; a speedup that changed the counters would be a bug, not an
+full tree-protocol runs, bit-codec operations, each declared once in
+:data:`MICROS` -- plus the E1 tree-tradeoff trial loop, run three ways
+(seed-equivalent uncached serial, hot-cached serial, hot-cached parallel
+via :func:`repro.perf.run_trials`).  The parallel and serial loops are
+checked bit-identical on their communication counters before any ratio
+is reported; a speedup that changed the counters would be a bug, not an
 optimization.
 
 Usage::
@@ -41,13 +41,18 @@ from repro.kernels import backend_name, bucket_assign
 from repro.multiparty.coordinator import CoordinatorIntersection
 from repro.perf.cache import clear_hot_caches, hot_caches_disabled
 from repro.perf.executor import run_trials
-from repro.perf.schema import BENCH_SCHEMA_VERSION, SUITE_NAME, validate_bench_report
+from repro.perf.schema import (
+    BENCH_SCHEMA_VERSION,
+    SUITE_NAME,
+    Micro,
+    validate_bench_report,
+)
 from repro.comm.transcript import Transcript
 from repro.protocols.equality import run_equality
 from repro.util.bits import BitReader, BitString, BitWriter
 from repro.workloads import Distribution, WorkloadSpec, make_instance
 
-__all__ = ["run_core_benchmarks", "DEFAULT_OUTPUT"]
+__all__ = ["run_core_benchmarks", "DEFAULT_OUTPUT", "MICROS"]
 
 DEFAULT_OUTPUT = "BENCH_core.json"
 
@@ -394,234 +399,6 @@ def _serve_throughput_micro(quick: bool) -> Dict[str, Any]:
     }
 
 
-def _serve_throughput_multiround_micro(quick: bool) -> Dict[str, Any]:
-    """The round-barrier driver's payoff on multi-round tree sessions.
-
-    Same methodology as :func:`_serve_throughput_micro` -- one seeded mix
-    replayed with coalescing off and on, best-of-N walls per mode,
-    three-way fingerprint comparison -- but the sessions run the
-    verification-tree protocol at ``rounds=2``, so the coalesced path is
-    the lockstep barrier scheduler pooling per-level hash sweeps across
-    lanes rather than the one-round closed-form batch.
-
-    Unlike the one-round micro, the honest expectation here is parity to
-    a modest gain, not a multiple: the barrier path pools the kernel
-    dispatches but pays a cache-locality tax for interleaving many
-    generator frames through each tree level, and on warm hot-caches the
-    per-level sweeps are already cheap.  The micro exists to keep that
-    number honest and pinned, and to extend the ``batch_identical``
-    contract (serial == scalar == coalesced) to the multi-round ops.
-    """
-    from repro.serve import LoadMix, run_load, run_mix_serial
-
-    mix = LoadMix(
-        name="bench-multiround",
-        seed=13,
-        sessions=24 if quick else 64,
-        ops_per_session=4 if quick else 8,
-        set_sizes=(64,),
-        rounds=2,
-    )
-    trials = 2 if quick else 3
-    run = functools.partial(run_load, mix, tick_s=0.001, pipeline=64)
-
-    scalar_walls, coalesced_walls = [], []
-    scalar_best = coalesced_best = None
-    for _ in range(trials):
-        scalar = run(coalesce=False)
-        scalar_walls.append(scalar.wall_s)
-        if scalar_best is None or scalar.wall_s < scalar_best.wall_s:
-            scalar_best = scalar
-        coalesced = run(coalesce=True)
-        coalesced_walls.append(coalesced.wall_s)
-        if coalesced_best is None or coalesced.wall_s < coalesced_best.wall_s:
-            coalesced_best = coalesced
-
-    serial_fingerprint = run_mix_serial(mix)["fingerprint"]
-    batch_identical = (
-        scalar_best.shed == coalesced_best.shed == 0
-        and not scalar_best.errors
-        and not coalesced_best.errors
-        and serial_fingerprint
-        == scalar_best.fingerprint
-        == coalesced_best.fingerprint
-    )
-    coalesced_wall = max(coalesced_best.wall_s, 1e-9)
-    lanes = coalesced_best.lanes_per_batch
-    return {
-        "ops_per_s": coalesced_best.ops_total / coalesced_wall,
-        "wall_s": sum(scalar_walls) + sum(coalesced_walls),
-        "iterations": 2 * trials,
-        "rounds": 2,
-        "sessions_per_s": mix.sessions / coalesced_wall,
-        "p50_ms": coalesced_best.p50_ms,
-        "p99_ms": coalesced_best.p99_ms,
-        "scalar_wall_s": scalar_best.wall_s,
-        "coalesced_wall_s": coalesced_best.wall_s,
-        "coalesce_speedup": scalar_best.wall_s / coalesced_wall,
-        "lanes_per_batch": lanes if lanes is not None else 0.0,
-        "batch_identical": batch_identical,
-        "shed": scalar_best.shed + coalesced_best.shed,
-    }
-
-
-def _serve_socket_throughput_micro(quick: bool) -> Dict[str, Any]:
-    """What the syscall layer costs: in-process clients vs a real socket.
-
-    The same seeded one-round mix is replayed twice per trial -- through
-    the in-process harness (clients share the server's event loop over
-    loopback TCP) and through a 2-worker multi-process fleet over a
-    Unix-domain socket -- with best-of-N walls per mode.
-    ``socket_vs_inproc`` is the socket wall over the in-process wall: a
-    ratio above 1 is the honest price of real process boundaries
-    (syscalls, scheduling, pickling the results back), below 1 means the
-    fleet's client-side parallelism outweighed it on this host.  No
-    target is claimed either way; the number exists to be watched, not
-    advertised.
-
-    ``batch_identical`` extends the determinism contract across the
-    process boundary: serial reference, in-process run, and socket-fleet
-    run must agree on the aggregate fingerprint with zero shed and zero
-    errors -- the load-bearing claim of the fleet mode.
-    """
-    from repro.serve import LoadMix, run_load, run_mix_serial
-
-    mix = LoadMix(
-        name="bench-socket",
-        seed=17,
-        sessions=16 if quick else 32,
-        ops_per_session=8 if quick else 16,
-        set_sizes=(64,),
-    )
-    trials = 2 if quick else 3
-    run = functools.partial(run_load, mix, tick_s=0.001, pipeline=64)
-
-    inproc_best = socket_best = None
-    total_wall = 0.0
-    for _ in range(trials):
-        inproc = run()
-        total_wall += inproc.wall_s
-        if inproc_best is None or inproc.wall_s < inproc_best.wall_s:
-            inproc_best = inproc
-        socket = run(transport="uds", fleet=2)
-        total_wall += socket.wall_s
-        if socket_best is None or socket.wall_s < socket_best.wall_s:
-            socket_best = socket
-
-    serial_fingerprint = run_mix_serial(mix)["fingerprint"]
-    batch_identical = (
-        inproc_best.shed == socket_best.shed == 0
-        and not inproc_best.errors
-        and not socket_best.errors
-        and serial_fingerprint
-        == inproc_best.fingerprint
-        == socket_best.fingerprint
-    )
-    socket_wall = max(socket_best.wall_s, 1e-9)
-    return {
-        "ops_per_s": socket_best.ops_total / socket_wall,
-        "wall_s": total_wall,
-        "iterations": 2 * trials,
-        "transport": socket_best.transport,
-        "fleet": socket_best.fleet,
-        "sessions_per_s": mix.sessions / socket_wall,
-        "p50_ms": socket_best.p50_ms,
-        "p99_ms": socket_best.p99_ms,
-        "inproc_wall_s": inproc_best.wall_s,
-        "socket_wall_s": socket_best.wall_s,
-        "socket_vs_inproc": socket_best.wall_s / max(inproc_best.wall_s, 1e-9),
-        "batch_identical": batch_identical,
-        "shed": inproc_best.shed + socket_best.shed,
-    }
-
-
-def _serve_cold_cache_micro(quick: bool) -> Dict[str, Any]:
-    """The cold-cache serving profile: where pooled dispatch finally wins.
-
-    On warm hot-caches the multi-round barrier driver's pooled
-    ``fingerprint_sweep_segments`` dispatch is mostly redundant -- the
-    per-level sweeps it pools are already cached -- which is why the
-    ``serve_throughput_multiround`` micro holds a parity floor, not a
-    speedup.  This micro measures the regime the pooling was built for:
-    hot caches disabled for the whole run (``profile="cold"``, the
-    :mod:`repro.util.hotcache` kill switch), where every sweep is
-    recomputed and batching them into one kernel call is the only
-    amortization left.
-
-    ``cold_coalesce_speedup`` is cold-scalar wall over cold-coalesced
-    wall on the same rounds=2 mix (best-of-N each).  The honest finding
-    on the reference host: parity to a few percent, not a multiple --
-    recomputing the sweeps is still cheap relative to the generator-frame
-    machinery around them -- so the micro pins that number against
-    regression (0.8x parity floor) instead of advertising a win.
-    ``cold_penalty`` is cold-coalesced over warm-coalesced -- the honest
-    price of losing the caches (~4x here), reported rather than hidden.
-    ``profile_identical`` pins the kill switch's value-transparency:
-    warm, cold, and serial-reference fingerprints must be bit-identical
-    (cold changes wall time, never bits).
-    """
-    from repro.serve import LoadMix, run_load, run_mix_serial
-
-    mix = LoadMix(
-        name="bench-cold",
-        seed=19,
-        sessions=16 if quick else 32,
-        ops_per_session=4 if quick else 8,
-        set_sizes=(64,),
-        rounds=2,
-    )
-    trials = 2 if quick else 3
-    run = functools.partial(run_load, mix, tick_s=0.001, pipeline=64)
-
-    warm_best = cold_best = cold_scalar_best = None
-    total_wall = 0.0
-    for _ in range(trials):
-        warm = run()
-        total_wall += warm.wall_s
-        if warm_best is None or warm.wall_s < warm_best.wall_s:
-            warm_best = warm
-        cold = run(profile="cold")
-        total_wall += cold.wall_s
-        if cold_best is None or cold.wall_s < cold_best.wall_s:
-            cold_best = cold
-        cold_scalar = run(profile="cold", coalesce=False)
-        total_wall += cold_scalar.wall_s
-        if (
-            cold_scalar_best is None
-            or cold_scalar.wall_s < cold_scalar_best.wall_s
-        ):
-            cold_scalar_best = cold_scalar
-
-    serial_fingerprint = run_mix_serial(mix)["fingerprint"]
-    profile_identical = (
-        warm_best.shed == cold_best.shed == cold_scalar_best.shed == 0
-        and not warm_best.errors
-        and not cold_best.errors
-        and not cold_scalar_best.errors
-        and serial_fingerprint
-        == warm_best.fingerprint
-        == cold_best.fingerprint
-        == cold_scalar_best.fingerprint
-    )
-    cold_wall = max(cold_best.wall_s, 1e-9)
-    return {
-        "ops_per_s": cold_best.ops_total / cold_wall,
-        "wall_s": total_wall,
-        "iterations": 3 * trials,
-        "rounds": 2,
-        "sessions_per_s": mix.sessions / cold_wall,
-        "p50_ms": cold_best.p50_ms,
-        "p99_ms": cold_best.p99_ms,
-        "warm_wall_s": warm_best.wall_s,
-        "cold_wall_s": cold_best.wall_s,
-        "cold_scalar_wall_s": cold_scalar_best.wall_s,
-        "cold_penalty": cold_best.wall_s / max(warm_best.wall_s, 1e-9),
-        "cold_coalesce_speedup": cold_scalar_best.wall_s / cold_wall,
-        "profile_identical": profile_identical,
-        "shed": warm_best.shed + cold_best.shed + cold_scalar_best.shed,
-    }
-
-
 def _tree_trial(protocol: TreeProtocol, alice_set, bob_set, seed: int):
     """One E1-style trial: exact counters + correctness for one seed."""
     outcome = protocol.run(alice_set, bob_set, seed=seed)
@@ -724,11 +501,106 @@ def _e1_trial_loop(workers: int, trials: int) -> Dict[str, Any]:
         "serial_cached_s": cached.wall_time_s,
         "parallel_s": parallel.wall_time_s,
         "workers": parallel.workers,
-        "speedup_vs_serial": uncached.wall_time_s / parallel.wall_time_s,
         "speedup_cached_only": uncached.wall_time_s / cached.wall_time_s,
         "bit_identical": bit_identical,
         "counters_sha256": _counters_sha256(parallel_values),
     }
+
+
+def _target_s(quick: bool) -> float:
+    return 0.08 if quick else 0.4
+
+
+def _timed(op: Callable[[], Any]) -> Callable[[bool], Dict[str, Any]]:
+    """A micro that times one zero-argument op with :func:`_time_op`."""
+    return lambda quick: _time_op(op, _target_s(quick))
+
+
+def _tree_protocol_micro(quick: bool) -> Dict[str, Any]:
+    rng = random.Random(3)
+    alice_set, bob_set = make_instance(rng, _E1_UNIVERSE, 512, 0.5)
+    protocol = TreeProtocol(_E1_UNIVERSE, 512)
+    return _time_op(
+        functools.partial(_op_tree_protocol, protocol, alice_set, bob_set, 0),
+        _target_s(quick),
+    )
+
+
+#: The suite, in run order.  Kernel-routed micros record the backend that
+#: timed them, so the regression gate never compares numpy throughput
+#: against scalar.  The optional micros came after the v3 baselines did.
+MICROS = (
+    Micro("engine_round_trip", _timed(_op_engine_round_trip)),
+    Micro("batched_equality", _timed(_op_batched_equality)),
+    Micro("tree_protocol", _tree_protocol_micro, backend=backend_name),
+    Micro("bit_codec_gamma", _timed(_op_bit_codec_gamma)),
+    Micro("bit_codec_uint", _timed(_op_bit_codec_uint)),
+    Micro("bitwriter_bulk", _timed(_op_bitwriter_bulk)),
+    Micro("bitstring_concat", _timed(_op_bitstring_concat)),
+    Micro("transcript_append", _timed(_op_transcript_append)),
+    Micro("pairwise_batch", _timed(_op_pairwise_batch), backend=backend_name),
+    Micro(
+        "pairwise_batch_scalar",
+        _timed(_op_pairwise_batch_scalar),
+        backend=lambda: "scalar",
+        required=False,
+    ),
+    Micro("bucket_assign", _timed(_op_bucket_assign), backend=backend_name),
+    Micro(
+        "multiparty_round", _timed(_op_multiparty_round), backend=backend_name
+    ),
+    Micro(
+        "plan_resume",
+        _plan_resume_micro,
+        required=False,
+        fields={
+            "cold_s": float,
+            "warm_s": float,
+            "speedup": float,
+            "cache_hits": int,
+            "cache_misses": int,
+            "resume_identical": bool,
+        },
+        floors={
+            "speedup": (
+                5.0,
+                "is below the 5x warm-cache target; the shard cache is not "
+                "paying for itself on this host",
+            ),
+        },
+        must_hold={
+            "resume_identical": "a killed-then-resumed plan produced a "
+            "different aggregate fingerprint than the uninterrupted run",
+        },
+    ),
+    Micro(
+        "serve_throughput",
+        _serve_throughput_micro,
+        required=False,
+        fields={
+            "sessions_per_s": float,
+            "p50_ms": float,
+            "p99_ms": float,
+            "scalar_wall_s": float,
+            "coalesced_wall_s": float,
+            "coalesce_speedup": float,
+            "lanes_per_batch": float,
+            "batch_identical": bool,
+            "shed": int,
+        },
+        floors={
+            "coalesce_speedup": (
+                2.0,
+                "is below the 2x target; cross-session batching is not "
+                "paying for itself on this host",
+            ),
+        },
+        must_hold={
+            "batch_identical": "the coalesced run's aggregate fingerprint "
+            "diverged from the scalar/serial reference paths",
+        },
+    ),
+)
 
 
 def run_core_benchmarks(
@@ -750,7 +622,6 @@ def run_core_benchmarks(
     :raises ValueError: if the produced report fails its own schema check
         (guards against schema drift at the source).
     """
-    target = 0.08 if quick else 0.4
     if trials is None:
         trials = 8 if quick else 96
     if trials < 1:
@@ -759,51 +630,13 @@ def run_core_benchmarks(
             "(a 0-trial loop times nothing and its speedup is noise)"
         )
 
-    rng = random.Random(3)
-    tree_alice, tree_bob = make_instance(rng, _E1_UNIVERSE, 512, 0.5)
-    tree_protocol = TreeProtocol(_E1_UNIVERSE, 512)
-
     clear_hot_caches()
-    # Kernel-routed micros carry the backend that timed them so the
-    # regression gate never compares numpy throughput against scalar.
-    kernel_backend = backend_name()
-    micro = {
-        "engine_round_trip": _time_op(_op_engine_round_trip, target),
-        "batched_equality": _time_op(_op_batched_equality, target),
-        "tree_protocol": dict(
-            _time_op(
-                functools.partial(
-                    _op_tree_protocol, tree_protocol, tree_alice, tree_bob, 0
-                ),
-                target,
-            ),
-            backend=kernel_backend,
-        ),
-        "bit_codec_gamma": _time_op(_op_bit_codec_gamma, target),
-        "bit_codec_uint": _time_op(_op_bit_codec_uint, target),
-        "bitwriter_bulk": _time_op(_op_bitwriter_bulk, target),
-        "bitstring_concat": _time_op(_op_bitstring_concat, target),
-        "transcript_append": _time_op(_op_transcript_append, target),
-        "pairwise_batch": dict(
-            _time_op(_op_pairwise_batch, target), backend=kernel_backend
-        ),
-        "pairwise_batch_scalar": dict(
-            _time_op(_op_pairwise_batch_scalar, target), backend="scalar"
-        ),
-        "bucket_assign": dict(
-            _time_op(_op_bucket_assign, target), backend=kernel_backend
-        ),
-        "multiparty_round": dict(
-            _time_op(_op_multiparty_round, target), backend=kernel_backend
-        ),
-        "plan_resume": _plan_resume_micro(quick),
-        "serve_throughput": _serve_throughput_micro(quick),
-        "serve_throughput_multiround": _serve_throughput_multiround_micro(
-            quick
-        ),
-        "serve_socket_throughput": _serve_socket_throughput_micro(quick),
-        "serve_cold_cache": _serve_cold_cache_micro(quick),
-    }
+    micro: Dict[str, Dict[str, Any]] = {}
+    for spec in MICROS:
+        entry = spec.run(quick)
+        if spec.backend is not None:
+            entry["backend"] = spec.backend()
+        micro[spec.name] = entry
 
     report: Dict[str, Any] = {
         "schema_version": BENCH_SCHEMA_VERSION,

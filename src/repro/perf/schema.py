@@ -29,18 +29,28 @@ Top-level document::
         "serial_cached_s": ...,     # hot caches on, workers=1
         "parallel_s": ...,          # hot caches on, executor with `workers`
         "workers": ...,
-        "speedup_vs_serial": ...,   # serial_uncached_s / parallel_s
         "speedup_cached_only": ..., # serial_uncached_s / serial_cached_s
         "bit_identical": true,      # serial vs parallel counters compared
         "counters_sha256": "..."    # fingerprint of the (bits, messages) list
       }
     }
 
-Comparing runs across PRs: ratios within one file (the ``speedup_*``
-fields, ``ops_per_s`` between two commits on the same machine) are
-meaningful; absolute seconds across different machines are not.
-``repro bench --compare OLD.json`` (see :mod:`repro.perf.compare`)
-automates the between-commit diff with a tolerance band.
+Comparing runs across PRs: ratios within one file (the e1 seconds
+against each other, ``ops_per_s`` between two commits on the same
+machine) are meaningful; absolute seconds across different machines are
+not.  ``repro bench`` prints the e1 loop's caching-only ratio
+(``serial_uncached_s / serial_cached_s``) and its parallel-only ratio
+(``serial_cached_s / parallel_s``).  Older reports also carry
+``speedup_vs_serial`` (``serial_uncached_s / parallel_s``), which mixed
+the two; it is no longer written or required.  ``repro bench --compare
+OLD.json`` (see :mod:`repro.perf.compare`) automates the between-commit
+diff with a tolerance band.
+
+Each micro is declared once (:class:`Micro`, in
+:data:`repro.perf.bench.MICROS`): whether every report must carry it,
+the extra fields its entry must carry when present, and its honesty
+warnings.  A micro no declaration names is checked for the standard
+fields only, so reports carrying retired micros stay valid.
 
 Schema history:
 
@@ -62,26 +72,10 @@ Schema history:
   ``sessions_per_s`` / ``p99_ms`` / ``coalesce_speedup`` /
   ``batch_identical`` / ``shed``, measured by replaying one seeded
   traffic mix against an in-process server with coalescing on and off).
-  The round-barrier scheduler adds a third optional micro,
-  ``serve_throughput_multiround`` (same fields plus ``rounds``): the
-  identical measurement over multi-round verification-tree sessions,
-  where the coalesced leg is the lockstep barrier driver.  Its speedup
-  warning threshold is a 0.8x parity floor rather than 2x -- the barrier pools
-  kernel dispatches but the per-level sweeps are cheap on warm caches,
-  so the micro's job is pinning honesty and the three-way
-  ``batch_identical`` contract, not advertising a multiple.  The
-  transport layer adds two more optional micros on the same terms:
-  ``serve_socket_throughput`` (the same mix through in-process clients
-  vs a 2-worker multi-process fleet over a Unix-domain socket;
-  ``socket_vs_inproc`` is the wall ratio with **no** target claimed --
-  the syscall layer's price is watched, not advertised -- and
-  ``batch_identical`` extends the fingerprint contract across the
-  process boundary) and ``serve_cold_cache`` (warm vs cold hot-caches on
-  a rounds=2 mix; ``cold_coalesce_speedup`` is the pooled-dispatch
-  payoff in the one regime it exists for -- measured at parity to a few
-  percent on the reference host, so its floor is the same 0.8x parity
-  bar as the multi-round micro, not an invented multiple -- and
-  ``profile_identical`` pins cache value-transparency).
+  Three later serve micros (``serve_throughput_multiround``,
+  ``serve_socket_throughput``, ``serve_cold_cache``) measured parity and
+  were retired; the serve determinism and socket legs are gated by the
+  tier-1 tests and the CI serve-smoke runs instead.
 * **v2** -- honest host parallelism: ``host.cpu_count_affinity`` (the CPUs
   the process is actually allowed to schedule on, which on pinned CI
   runners is smaller than ``os.cpu_count()``) joins ``host.cpu_count``;
@@ -92,17 +86,52 @@ Schema history:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
     "SUITE_NAME",
+    "Micro",
     "validate_bench_report",
     "bench_report_warnings",
 ]
 
 BENCH_SCHEMA_VERSION = 3
 SUITE_NAME = "repro.perf.core"
+
+
+@dataclass(frozen=True)
+class Micro:
+    """One microbenchmark, declared once.
+
+    :param name: the key of its entry under ``micro``.
+    :param run: ``run(quick)`` times it and returns its entry: the standard
+        ``ops_per_s`` / ``wall_s`` / ``iterations`` plus ``fields``.
+    :param backend: returns the kernel backend tag the entry records
+        (``None``: untagged).
+    :param required: every report must carry it.
+    :param fields: extra entry fields and their types, checked when the
+        entry is present.
+    :param floors: ``field -> (minimum, why)``; a smaller value warns.
+    :param must_hold: ``field -> why``; a false value warns.
+    """
+
+    name: str
+    run: Callable[[bool], Dict[str, Any]]
+    backend: Optional[Callable[[], str]] = None
+    required: bool = True
+    fields: Mapping[str, type] = field(default_factory=dict)
+    floors: Mapping[str, Tuple[float, str]] = field(default_factory=dict)
+    must_hold: Mapping[str, str] = field(default_factory=dict)
+
+
+def _declared_micros() -> Tuple[Micro, ...]:
+    # The declarations live beside the code that runs them, and that
+    # module imports this one, so they are looked up on use.
+    from repro.perf.bench import MICROS
+
+    return MICROS
 
 
 class _IntOrNull:
@@ -113,89 +142,6 @@ class _IntOrNull:
 
 
 _MICRO_FIELDS = {"ops_per_s": float, "wall_s": float, "iterations": int}
-#: Extra fields the (optional) plan_resume micro must carry when present.
-_PLAN_RESUME_FIELDS = {
-    "cold_s": float,
-    "warm_s": float,
-    "speedup": float,
-    "cache_hits": int,
-    "cache_misses": int,
-    "resume_identical": bool,
-}
-#: Extra fields the (optional) serve_throughput micro must carry when
-#: present.  ``coalesce_speedup`` is scalar-mode wall over coalesced-mode
-#: wall on the same seeded mix (best-of-N each); ``batch_identical`` is
-#: the coalesced-vs-scalar-vs-serial aggregate-fingerprint comparison.
-_SERVE_THROUGHPUT_FIELDS = {
-    "sessions_per_s": float,
-    "ops_per_s": float,
-    "p50_ms": float,
-    "p99_ms": float,
-    "scalar_wall_s": float,
-    "coalesced_wall_s": float,
-    "coalesce_speedup": float,
-    "lanes_per_batch": float,
-    "batch_identical": bool,
-    "shed": int,
-}
-#: Extra fields the (optional) serve_throughput_multiround micro must
-#: carry when present.  Same measurement as ``serve_throughput`` but the
-#: sessions run the verification-tree protocol at the recorded ``rounds``,
-#: so the coalesced leg is the round-barrier lockstep driver.  The honest
-#: target for ``coalesce_speedup`` here is parity (the barrier pools
-#: kernel dispatches but pays a locality tax interleaving generator
-#: frames), so the warning floor is 0.8x (parity minus host noise), not the one-round 2x.
-_SERVE_THROUGHPUT_MULTIROUND_FIELDS = {
-    "rounds": int,
-    "sessions_per_s": float,
-    "ops_per_s": float,
-    "p50_ms": float,
-    "p99_ms": float,
-    "scalar_wall_s": float,
-    "coalesced_wall_s": float,
-    "coalesce_speedup": float,
-    "lanes_per_batch": float,
-    "batch_identical": bool,
-    "shed": int,
-}
-#: Extra fields the (optional) serve_socket_throughput micro must carry
-#: when present.  ``socket_vs_inproc`` is the socket-fleet wall over the
-#: in-process wall on the same seeded mix (best-of-N each) -- the honest
-#: price of real process boundaries, with no target claimed either way.
-#: ``batch_identical`` extends the fingerprint contract across the
-#: process boundary (serial == in-process == socket fleet).
-_SERVE_SOCKET_THROUGHPUT_FIELDS = {
-    "transport": str,
-    "fleet": int,
-    "sessions_per_s": float,
-    "p50_ms": float,
-    "p99_ms": float,
-    "inproc_wall_s": float,
-    "socket_wall_s": float,
-    "socket_vs_inproc": float,
-    "batch_identical": bool,
-    "shed": int,
-}
-#: Extra fields the (optional) serve_cold_cache micro must carry when
-#: present.  ``cold_coalesce_speedup`` is cold-scalar wall over
-#: cold-coalesced wall at the recorded ``rounds`` -- the pooled-dispatch
-#: payoff in the regime it was built for (hot caches disabled);
-#: ``cold_penalty`` is cold over warm coalesced wall (the honest cost of
-#: losing the caches); ``profile_identical`` pins the kill switch's
-#: value-transparency (warm == cold == serial fingerprints).
-_SERVE_COLD_CACHE_FIELDS = {
-    "rounds": int,
-    "sessions_per_s": float,
-    "p50_ms": float,
-    "p99_ms": float,
-    "warm_wall_s": float,
-    "cold_wall_s": float,
-    "cold_scalar_wall_s": float,
-    "cold_penalty": float,
-    "cold_coalesce_speedup": float,
-    "profile_identical": bool,
-    "shed": int,
-}
 _E1_FIELDS = {
     "trials": int,
     "k": int,
@@ -204,7 +150,6 @@ _E1_FIELDS = {
     "serial_cached_s": float,
     "parallel_s": float,
     "workers": int,
-    "speedup_vs_serial": float,
     "speedup_cached_only": float,
     "bit_identical": bool,
     "counters_sha256": str,
@@ -216,21 +161,6 @@ _HOST_FIELDS = {
     "cpu_count_affinity": _IntOrNull,
 }
 _CONFIG_FIELDS = {"workers": int, "quick": bool}
-
-#: Microbenchmarks every report must contain (the suite may add more).
-REQUIRED_MICRO = (
-    "engine_round_trip",
-    "batched_equality",
-    "tree_protocol",
-    "bit_codec_gamma",
-    "bit_codec_uint",
-    "bitwriter_bulk",
-    "bitstring_concat",
-    "transcript_append",
-    "pairwise_batch",
-    "bucket_assign",
-    "multiparty_round",
-)
 
 
 def _check_fields(
@@ -288,37 +218,15 @@ def validate_bench_report(report: Any) -> List[str]:
     if not isinstance(micro, dict):
         errors.append("micro: missing or not an object")
     else:
-        for required in REQUIRED_MICRO:
-            if required not in micro:
-                errors.append(f"micro.{required}: missing")
+        declared = {spec.name: spec for spec in _declared_micros()}
+        for spec in declared.values():
+            if spec.required and spec.name not in micro:
+                errors.append(f"micro.{spec.name}: missing")
         for name, entry in micro.items():
             _check_fields(errors, f"micro.{name}", entry, _MICRO_FIELDS)
-            if name == "plan_resume":
-                _check_fields(
-                    errors, f"micro.{name}", entry, _PLAN_RESUME_FIELDS
-                )
-            if name == "serve_throughput":
-                _check_fields(
-                    errors, f"micro.{name}", entry, _SERVE_THROUGHPUT_FIELDS
-                )
-            if name == "serve_throughput_multiround":
-                _check_fields(
-                    errors,
-                    f"micro.{name}",
-                    entry,
-                    _SERVE_THROUGHPUT_MULTIROUND_FIELDS,
-                )
-            if name == "serve_socket_throughput":
-                _check_fields(
-                    errors,
-                    f"micro.{name}",
-                    entry,
-                    _SERVE_SOCKET_THROUGHPUT_FIELDS,
-                )
-            if name == "serve_cold_cache":
-                _check_fields(
-                    errors, f"micro.{name}", entry, _SERVE_COLD_CACHE_FIELDS
-                )
+            spec = declared.get(name)
+            if spec is not None and spec.fields:
+                _check_fields(errors, f"micro.{name}", entry, spec.fields)
             if isinstance(entry, dict) and "backend" in entry:
                 if not isinstance(entry["backend"], str):
                     errors.append(
@@ -333,30 +241,15 @@ def validate_bench_report(report: Any) -> List[str]:
 def bench_report_warnings(report: Any) -> List[str]:
     """Non-fatal honesty checks on a (structurally valid) report.
 
-    Six today:
-
-    * a parallel-speedup claim made with more workers than the host can
-      actually schedule is noise, not parallelism -- the classic way to
-      produce an impressive-looking but meaningless ``speedup_vs_serial``
-      on a single-CPU CI runner;
-    * a ``plan_resume`` micro whose warm-cache run is under 5x faster than
-      cold, or whose killed-then-resumed fingerprint diverged -- the shard
-      cache's two load-bearing promises, surfaced on every bench run;
-    * a ``serve_throughput`` micro whose coalescing speedup fell below the
-      2x target, or whose coalesced fingerprint diverged from the scalar
-      and serial paths -- the serving layer's two load-bearing promises;
-    * a ``serve_throughput_multiround`` micro whose barrier-coalesced leg
-      fell below the 0.8x parity floor (the honest multi-round target:
-      pooled dispatches minus the locality tax should at worst break
-      even) or whose three-way fingerprint diverged;
-    * a ``serve_socket_throughput`` micro whose fingerprint diverged
-      across the process boundary or that shed under the bench bounds
-      (no floor on the wall ratio itself: syscall overhead is a price,
-      not a speedup);
-    * a ``serve_cold_cache`` micro whose cold-cache pooled dispatch lost
-      outright to cold-cache scalar (below the 0.8x parity floor in the
-      one regime the pooling exists for), or whose fingerprint changed
-      when the caches were disabled.
+    * a parallel timing taken with more workers than the host can actually
+      schedule is noise, not parallelism -- the classic way to produce an
+      impressive-looking but meaningless speedup on a single-CPU CI
+      runner;
+    * each declared micro's ``floors`` (a ratio below its target, e.g. the
+      shard cache's 5x warm-cache payoff or the coalescer's 2x) and
+      ``must_hold`` flags (a fingerprint that diverged, e.g. a resumed plan
+      or a coalesced serve run) -- the micro's load-bearing promises,
+      surfaced on every bench run.
 
     :returns: human-readable warnings; empty means nothing suspicious.
     """
@@ -381,106 +274,23 @@ def bench_report_warnings(report: Any) -> List[str]:
                 f"host and speedup figures are not meaningful"
             )
     micro = report.get("micro")
-    plan_resume = micro.get("plan_resume") if isinstance(micro, dict) else None
-    if isinstance(plan_resume, dict):
-        speedup = plan_resume.get("speedup")
-        if (
-            isinstance(speedup, (int, float))
-            and not isinstance(speedup, bool)
-            and speedup < 5.0
-        ):
-            warnings.append(
-                f"micro.plan_resume.speedup = {speedup:.2f} is below the "
-                f"5x warm-cache target; the shard cache is not paying for "
-                f"itself on this host"
-            )
-        if plan_resume.get("resume_identical") is False:
-            warnings.append(
-                "micro.plan_resume.resume_identical is false: a "
-                "killed-then-resumed plan produced a different aggregate "
-                "fingerprint than the uninterrupted run"
-            )
-    serve = micro.get("serve_throughput") if isinstance(micro, dict) else None
-    if isinstance(serve, dict):
-        speedup = serve.get("coalesce_speedup")
-        if (
-            isinstance(speedup, (int, float))
-            and not isinstance(speedup, bool)
-            and speedup < 2.0
-        ):
-            warnings.append(
-                f"micro.serve_throughput.coalesce_speedup = {speedup:.2f} "
-                f"is below the 2x target; cross-session batching is not "
-                f"paying for itself on this host"
-            )
-        if serve.get("batch_identical") is False:
-            warnings.append(
-                "micro.serve_throughput.batch_identical is false: the "
-                "coalesced run's aggregate fingerprint diverged from the "
-                "scalar/serial reference paths"
-            )
-    multiround = (
-        micro.get("serve_throughput_multiround")
-        if isinstance(micro, dict)
-        else None
-    )
-    if isinstance(multiround, dict):
-        speedup = multiround.get("coalesce_speedup")
-        if (
-            isinstance(speedup, (int, float))
-            and not isinstance(speedup, bool)
-            and speedup < 0.8
-        ):
-            warnings.append(
-                f"micro.serve_throughput_multiround.coalesce_speedup = "
-                f"{speedup:.2f} is below the 0.8x parity floor; the "
-                f"round-barrier driver is slowing multi-round traffic down "
-                f"on this host"
-            )
-        if multiround.get("batch_identical") is False:
-            warnings.append(
-                "micro.serve_throughput_multiround.batch_identical is "
-                "false: the barrier-coalesced run's aggregate fingerprint "
-                "diverged from the scalar/serial reference paths"
-            )
-    socket = (
-        micro.get("serve_socket_throughput") if isinstance(micro, dict) else None
-    )
-    if isinstance(socket, dict):
-        # No floor on socket_vs_inproc: the syscall overhead is a price to
-        # watch, not a speedup to advertise.  The load-bearing claims are
-        # determinism across the process boundary and zero untyped loss.
-        if socket.get("batch_identical") is False:
-            warnings.append(
-                "micro.serve_socket_throughput.batch_identical is false: "
-                "the socket-fleet run's aggregate fingerprint diverged "
-                "from the in-process/serial reference paths"
-            )
-        shed = socket.get("shed")
-        if isinstance(shed, int) and not isinstance(shed, bool) and shed > 0:
-            warnings.append(
-                f"micro.serve_socket_throughput.shed = {shed}: the bench "
-                f"mix should run entirely under the admission bounds; "
-                f"shedding here means the walls compare different work"
-            )
-    cold = micro.get("serve_cold_cache") if isinstance(micro, dict) else None
-    if isinstance(cold, dict):
-        speedup = cold.get("cold_coalesce_speedup")
-        if (
-            isinstance(speedup, (int, float))
-            and not isinstance(speedup, bool)
-            and speedup < 0.8
-        ):
-            warnings.append(
-                f"micro.serve_cold_cache.cold_coalesce_speedup = "
-                f"{speedup:.2f} is below the 0.8x parity floor; pooled "
-                f"dispatch is losing outright to the scalar path even "
-                f"with cold caches -- the one regime it exists for"
-            )
-        if cold.get("profile_identical") is False:
-            warnings.append(
-                "micro.serve_cold_cache.profile_identical is false: "
-                "disabling the hot caches changed the aggregate "
-                "fingerprint -- a cache is leaking values into results"
-            )
+    if not isinstance(micro, dict):
+        return warnings
+    for spec in _declared_micros():
+        entry = micro.get(spec.name)
+        if not isinstance(entry, dict):
+            continue
+        for name, (floor, why) in spec.floors.items():
+            value = entry.get(name)
+            if (
+                isinstance(value, (int, float))
+                and not isinstance(value, bool)
+                and value < floor
+            ):
+                warnings.append(
+                    f"micro.{spec.name}.{name} = {value:.2f} {why}"
+                )
+        for name, why in spec.must_hold.items():
+            if entry.get(name) is False:
+                warnings.append(f"micro.{spec.name}.{name} is false: {why}")
     return warnings

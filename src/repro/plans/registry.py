@@ -2,8 +2,9 @@
 
 One mapping from short registry names (the strings plans and the CLI use)
 to builder callables ``(universe_size, max_set_size, params) -> protocol``.
-Both the ``repro faults`` sweep and ``repro plan run`` resolve protocols
-here, so the two CLIs cannot drift apart on what ``"bucket"`` means.
+``repro faults``, ``repro plan run`` and ``repro conformance`` resolve
+protocols here, so the commands cannot drift apart on what ``"bucket"``
+means.
 
 Imports are deferred into the builders: the registry is consulted by the
 CLI's argument validation before any protocol code needs to load.

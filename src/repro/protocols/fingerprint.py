@@ -55,9 +55,7 @@ def _encode_length(length: int) -> bytes:
 def _canonical_bytes_impl(value: Any) -> bytes:
     if value is None:
         return b"N"
-    if isinstance(value, bool):
-        return b"B1" if value else b"B0"
-    if isinstance(value, int):
+    if isinstance(value, int):  # a bool serializes as the int it equals
         if value < 0:
             raise ValueError(f"canonical_bytes only covers nonnegative ints: {value}")
         payload = value.to_bytes((value.bit_length() + 7) // 8 or 1, "big")
@@ -81,9 +79,9 @@ def _canonical_bytes_impl(value: Any) -> bytes:
     raise TypeError(f"canonical_bytes does not support {type(value).__name__}")
 
 
-# typed=True is load-bearing: lru_cache keys compare with ==, and
-# True == 1 even though their serializations differ (b"B1" vs the
-# I-tagged form), so an untyped cache would conflate them.
+# typed=True is load-bearing: lru_cache keys compare with ==, and 1.0 == 1
+# although canonical_bytes rejects floats, so an untyped cache would answer
+# 1.0 with the bytes of 1.
 _canonical_bytes_cached = hotcache.register(
     "protocols.fingerprint.canonical_bytes",
     lru_cache(maxsize=1 << 16, typed=True)(_canonical_bytes_impl),
@@ -94,10 +92,11 @@ _canonical_bytes_cached = hotcache.register(
 def canonical_bytes(value: Any) -> bytes:
     """Serialize a value unambiguously (equal values <=> equal bytes).
 
-    Supported: nonnegative ``int``, ``bytes``, ``str``, ``BitString``,
-    ``None``, ``bool``, and (nested) ``tuple`` / ``list`` / ``set`` /
-    ``frozenset`` of supported values.  Sets are serialized in sorted order
-    of their members' serializations, so set equality maps to byte equality.
+    Supported: nonnegative ``int`` (a ``bool`` serializes as the int it
+    equals), ``bytes``, ``str``, ``BitString``, ``None``, and (nested)
+    ``tuple`` / ``list`` / ``set`` / ``frozenset`` of supported values.
+    Sets are serialized in sorted order of their members' serializations,
+    so set equality maps to byte equality.
     Tagged and length-prefixed, so e.g. ``(1, 2)`` and ``(12,)`` cannot
     collide.
 
@@ -158,7 +157,7 @@ def _fingerprint_of_impl(salt: bytes, width: int, value: Any) -> int:
 
 
 # Value-keyed variant: one cache lookup per fingerprint instead of
-# canonical_bytes + digest lookups.  typed=True for the same True == 1
+# canonical_bytes + digest lookups.  typed=True for the same 1.0 == 1
 # reason as the canonical_bytes cache.
 _fingerprint_of_cached = hotcache.register(
     "protocols.fingerprint.value_of",

@@ -243,6 +243,41 @@ class TestFaults:
         assert "bad rate" in output
 
 
+class TestFaultsPlan:
+    # The plan decides the sweep's shard-cache keys: unset flags must
+    # resolve to the same plan, field for field, in each mode.
+    def _plan(self, argv):
+        from repro.cli import _faults_mode, _faults_plan
+
+        args = build_parser().parse_args(["faults"] + argv)
+        return _faults_plan(args, _faults_mode(args.multiparty), io.StringIO())
+
+    def test_unset_flags_resolve_per_mode(self):
+        from repro.plans import Plan, ProtocolSpec, RetrySpec
+        from repro.workloads import MultipartySpec, WorkloadSpec
+
+        assert self._plan([]) == Plan(
+            name="faults-sweep",
+            analysis="survival",
+            protocols=(ProtocolSpec("bucket"), ProtocolSpec("amplified")),
+            instances=(WorkloadSpec(1 << 16, 64, 0.5),),
+            fault_specs=("bitflip@0.01", "bitflip@0.05", "bitflip@0.2"),
+            trials=100,
+            shard_size=32,
+            retry=RetrySpec(max_attempts=5),
+        )
+        assert self._plan(["--multiparty"]) == Plan(
+            name="multiparty-churn-sweep",
+            analysis="multiparty-survival",
+            protocols=(ProtocolSpec("coordinator"), ProtocolSpec("binary-tree")),
+            instances=(MultipartySpec(1 << 16, 64, 17, 8),),
+            fault_specs=("churn@0.01", "churn@0.05", "churn@0.2"),
+            trials=100,
+            shard_size=8,
+            retry=RetrySpec(max_attempts=8),
+        )
+
+
 class TestFaultsMultiparty:
     def test_churn_sweep_prints_survival_table(self, tmp_path):
         import json
@@ -286,6 +321,51 @@ class TestFaultsMultiparty:
         )
         assert code == 2
         assert "unknown multiparty protocol" in output
+
+    SMALL = ["faults", "--multiparty", "--players", "3", "--k", "8",
+             "--trials", "1", "--log-universe", "12", "--rates", "0.01",
+             "--protocols", "coordinator"]
+
+    def test_explicit_flags_win_over_the_mode_defaults(self):
+        # The two-party defaults typed out by hand are used as given.
+        code, output = run_cli(
+            self.SMALL + ["--models", "bitflip", "--max-attempts", "5"]
+        )
+        assert code == 0
+        assert "recovery budget 5 attempts" in output
+        rows = [line for line in output.splitlines()
+                if line.startswith("coordinator")]
+        assert len(rows) == 1 and rows[0].split()[1] == "bitflip"
+
+        code, output = run_cli(
+            ["faults", "--multiparty", "--trials", "1",
+             "--protocols", "bucket,amplified"]
+        )
+        assert code == 2
+        assert "unknown multiparty protocol 'bucket'" in output
+
+    @pytest.mark.parametrize(
+        "flags", [["--attempt-bit-budget", "4000"], ["--adaptive-budget"]]
+    )
+    def test_two_party_retry_flags_rejected(self, flags):
+        # m-player recovery never reads them; ignoring them would print a
+        # table the flags did not shape.
+        code, output = run_cli(self.SMALL + flags)
+        assert code == 2
+        assert flags[0] in output and "m-player recovery" in output
+
+    def test_title_says_what_the_rate_means_per_model(self):
+        code, output = run_cli(self.SMALL + ["--models", "bitflip,truncate"])
+        assert code == 0
+        title = output.splitlines()[0]
+        assert title.endswith("(rate = per-message fault probability)")
+        code, output = run_cli(self.SMALL + ["--models", "churn,crash,drop"])
+        assert code == 0
+        assert output.splitlines()[0].endswith(
+            "(rate = churn: per-player whole-run crash probability; "
+            "crash: per-player crash probability per superstep; "
+            "drop: per-message fault probability)"
+        )
 
     def test_bad_players_rejected(self):
         code, output = run_cli(

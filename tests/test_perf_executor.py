@@ -21,6 +21,7 @@ from repro.perf import (
     resolve_workers,
     run_trials,
 )
+from repro.perf.bench import MICROS
 from repro.perf.schema import validate_bench_report
 from repro.util.rng import SharedRandomness
 
@@ -312,7 +313,6 @@ class TestBenchSchema:
                 "serial_cached_s": 0.4,
                 "parallel_s": 0.4,
                 "workers": 4,
-                "speedup_vs_serial": 2.5,
                 "speedup_cached_only": 2.5,
                 "bit_identical": True,
                 "counters_sha256": "0" * 64,
@@ -356,273 +356,94 @@ class TestBenchSchema:
 
     def test_wrong_type_detected(self):
         report = self._minimal_report()
-        report["e1_trial_loop"]["speedup_vs_serial"] = "fast"
-        assert any(
-            "speedup_vs_serial" in p for p in validate_bench_report(report)
-        )
+        report["e1_trial_loop"]["parallel_s"] = "fast"
+        assert any("parallel_s" in p for p in validate_bench_report(report))
 
     def test_non_dict_rejected(self):
         assert validate_bench_report([]) != []
 
-    def _plan_resume_entry(self):
-        return {
-            "ops_per_s": 4000.0,
-            "wall_s": 0.02,
-            "iterations": 2,
-            "shards": 6,
-            "cold_s": 0.02,
-            "warm_s": 0.001,
-            "speedup": 20.0,
-            "cache_hits": 6,
-            "cache_misses": 0,
-            "resume_identical": True,
+    def test_undeclared_micro_needs_standard_fields_only(self):
+        # Baselines may carry micros the suite has since retired.
+        report = self._minimal_report()
+        report["micro"]["retired_micro"] = {
+            "ops_per_s": 1.0, "wall_s": 0.1, "iterations": 1, "extra": "x",
+        }
+        assert validate_bench_report(report) == []
+        del report["micro"]["retired_micro"]["iterations"]
+        assert validate_bench_report(report) == [
+            "micro.retired_micro.iterations: missing"
+        ]
+
+    # Micros that declare extra fields, floors or promises beyond the
+    # standard three; each gets the optional / required / warnings checks.
+    def test_every_micro_with_fields_is_checked(self):
+        assert {spec.name for spec in MICROS if spec.fields} == {
+            "plan_resume",
+            "serve_throughput",
         }
 
-    def test_plan_resume_optional(self):
-        # Old v3 baselines predate the plan layer; absence must validate so
-        # `bench --compare` against them stays green.
-        report = self._minimal_report()
-        assert validate_bench_report(report) == []
-        report["micro"]["plan_resume"] = self._plan_resume_entry()
-        assert validate_bench_report(report) == []
+    def _declared(self, name):
+        return next(spec for spec in MICROS if spec.name == name)
 
-    def test_plan_resume_fields_required_when_present(self):
-        report = self._minimal_report()
-        entry = self._plan_resume_entry()
-        del entry["resume_identical"]
-        report["micro"]["plan_resume"] = entry
-        assert any(
-            "plan_resume.resume_identical" in p
-            for p in validate_bench_report(report)
-        )
-
-    def test_plan_resume_warnings(self):
-        from repro.perf.schema import bench_report_warnings
-
-        def plan_warnings(report):
-            return [
-                w for w in bench_report_warnings(report) if "plan_resume" in w
-            ]
-
-        report = self._minimal_report()
-        report["micro"]["plan_resume"] = self._plan_resume_entry()
-        assert plan_warnings(report) == []
-        report["micro"]["plan_resume"]["speedup"] = 2.0
-        report["micro"]["plan_resume"]["resume_identical"] = False
-        warnings = plan_warnings(report)
-        assert any("5x" in w for w in warnings)
-        assert any("resume_identical" in w for w in warnings)
-
-    def _serve_throughput_entry(self):
-        return {
-            "ops_per_s": 10000.0,
-            "wall_s": 0.3,
-            "iterations": 6,
-            "sessions_per_s": 1200.0,
-            "p50_ms": 2.0,
-            "p99_ms": 8.0,
-            "scalar_wall_s": 0.2,
-            "coalesced_wall_s": 0.09,
-            "coalesce_speedup": 2.2,
-            "lanes_per_batch": 9000.0,
-            "batch_identical": True,
-            "shed": 0,
-        }
-
-    def test_serve_throughput_optional(self):
-        # Baselines predating the serve layer must stay valid (same
-        # optional-micro contract as plan_resume).
-        report = self._minimal_report()
-        assert validate_bench_report(report) == []
-        report["micro"]["serve_throughput"] = self._serve_throughput_entry()
-        assert validate_bench_report(report) == []
-
-    def test_serve_throughput_fields_required_when_present(self):
-        report = self._minimal_report()
-        entry = self._serve_throughput_entry()
-        del entry["batch_identical"]
-        report["micro"]["serve_throughput"] = entry
-        assert any(
-            "serve_throughput.batch_identical" in p
-            for p in validate_bench_report(report)
-        )
-
-    def test_serve_throughput_warnings(self):
-        from repro.perf.schema import bench_report_warnings
-
-        def serve_warnings(report):
-            return [
-                w
-                for w in bench_report_warnings(report)
-                if "serve_throughput" in w
-            ]
-
-        report = self._minimal_report()
-        report["micro"]["serve_throughput"] = self._serve_throughput_entry()
-        assert serve_warnings(report) == []
-        report["micro"]["serve_throughput"]["coalesce_speedup"] = 1.3
-        report["micro"]["serve_throughput"]["batch_identical"] = False
-        warnings = serve_warnings(report)
-        assert any("2x" in w for w in warnings)
-        assert any("batch_identical" in w for w in warnings)
-
-    def _multiround_entry(self):
-        entry = dict(self._serve_throughput_entry(), rounds=2)
-        # Honest expectation on this micro is parity, not a multiple.
-        entry["coalesce_speedup"] = 1.1
+    def _healthy_entry(self, spec):
+        entry = {"ops_per_s": 10.0, "wall_s": 0.1, "iterations": 1}
+        entry.update({name: kind(1) for name, kind in spec.fields.items()})
+        for name, (floor, _) in spec.floors.items():
+            entry[name] = 2 * floor
         return entry
 
-    def test_serve_throughput_multiround_optional(self):
-        report = self._minimal_report()
-        assert validate_bench_report(report) == []
-        report["micro"]["serve_throughput_multiround"] = (
-            self._multiround_entry()
-        )
-        assert validate_bench_report(report) == []
-
-    def test_serve_throughput_multiround_fields_required_when_present(self):
-        report = self._minimal_report()
-        entry = self._multiround_entry()
-        del entry["rounds"]
-        report["micro"]["serve_throughput_multiround"] = entry
-        assert any(
-            "serve_throughput_multiround.rounds" in p
-            for p in validate_bench_report(report)
-        )
-
-    def test_serve_throughput_multiround_warnings(self):
+    def _problems_and_warnings(self, spec, entry):
         from repro.perf.schema import bench_report_warnings
 
-        def multiround_warnings(report):
-            return [
-                w
-                for w in bench_report_warnings(report)
-                if "serve_throughput_multiround" in w
+        report = self._minimal_report()
+        report["micro"][spec.name] = entry
+        return validate_bench_report(report) + [
+            w for w in bench_report_warnings(report) if spec.name in w
+        ]
+
+    def _check_optional(self, name):
+        # Reports recorded before the micro existed stay valid.
+        spec = self._declared(name)
+        assert not spec.required
+        assert validate_bench_report(self._minimal_report()) == []
+        assert self._problems_and_warnings(spec, self._healthy_entry(spec)) == []
+
+    def _check_fields_required_when_present(self, name):
+        spec = self._declared(name)
+        for field in spec.fields:
+            entry = self._healthy_entry(spec)
+            del entry[field]
+            assert self._problems_and_warnings(spec, entry) == [
+                f"micro.{name}.{field}: missing"
             ]
 
-        report = self._minimal_report()
-        report["micro"]["serve_throughput_multiround"] = (
-            self._multiround_entry()
-        )
-        # Parity-ish speedups are fine for the barrier micro: the warning
-        # floor is 0.8x, not the one-round 2x target.
-        assert multiround_warnings(report) == []
-        report["micro"]["serve_throughput_multiround"]["coalesce_speedup"] = 0.7
-        report["micro"]["serve_throughput_multiround"]["batch_identical"] = False
-        warnings = multiround_warnings(report)
-        assert any("0.8x" in w for w in warnings)
-        assert any("batch_identical" in w for w in warnings)
+    def _check_warnings(self, name):
+        # A ratio under its floor and a false promise each warn once.
+        spec = self._declared(name)
+        broken = self._healthy_entry(spec)
+        for field, (floor, _) in spec.floors.items():
+            broken[field] = floor / 2
+        for field in spec.must_hold:
+            broken[field] = False
+        warnings = self._problems_and_warnings(spec, broken)
+        assert len(warnings) == len(spec.floors) + len(spec.must_hold) > 0
+        for field in [*spec.floors, *spec.must_hold]:
+            assert any(w.startswith(f"micro.{name}.{field} ") for w in warnings)
 
-    def _socket_throughput_entry(self):
-        return {
-            "ops_per_s": 9000.0,
-            "wall_s": 0.1,
-            "iterations": 6,
-            "transport": "uds",
-            "fleet": 2,
-            "sessions_per_s": 700.0,
-            "p50_ms": 10.0,
-            "p99_ms": 14.0,
-            "inproc_wall_s": 0.013,
-            "socket_wall_s": 0.02,
-            "socket_vs_inproc": 1.6,
-            "batch_identical": True,
-            "shed": 0,
-        }
+    def test_plan_resume_optional(self):
+        self._check_optional("plan_resume")
 
-    def test_serve_socket_throughput_optional(self):
-        report = self._minimal_report()
-        assert validate_bench_report(report) == []
-        report["micro"]["serve_socket_throughput"] = (
-            self._socket_throughput_entry()
-        )
-        assert validate_bench_report(report) == []
+    def test_plan_resume_fields_required_when_present(self):
+        self._check_fields_required_when_present("plan_resume")
 
-    def test_serve_socket_throughput_fields_required_when_present(self):
-        report = self._minimal_report()
-        entry = self._socket_throughput_entry()
-        del entry["socket_vs_inproc"]
-        report["micro"]["serve_socket_throughput"] = entry
-        assert any(
-            "serve_socket_throughput.socket_vs_inproc" in p
-            for p in validate_bench_report(report)
-        )
+    def test_plan_resume_warnings(self):
+        self._check_warnings("plan_resume")
 
-    def test_serve_socket_throughput_warnings(self):
-        from repro.perf.schema import bench_report_warnings
+    def test_serve_throughput_optional(self):
+        self._check_optional("serve_throughput")
 
-        def socket_warnings(report):
-            return [
-                w
-                for w in bench_report_warnings(report)
-                if "serve_socket_throughput" in w
-            ]
+    def test_serve_throughput_fields_required_when_present(self):
+        self._check_fields_required_when_present("serve_throughput")
 
-        report = self._minimal_report()
-        report["micro"]["serve_socket_throughput"] = (
-            self._socket_throughput_entry()
-        )
-        assert socket_warnings(report) == []
-        # No floor on the wall ratio itself -- syscall overhead is a price,
-        # not a speedup -- so even a large ratio warns about nothing.
-        report["micro"]["serve_socket_throughput"]["socket_vs_inproc"] = 40.0
-        assert socket_warnings(report) == []
-        report["micro"]["serve_socket_throughput"]["batch_identical"] = False
-        report["micro"]["serve_socket_throughput"]["shed"] = 3
-        warnings = socket_warnings(report)
-        assert any("batch_identical" in w for w in warnings)
-        assert any("shed" in w for w in warnings)
-
-    def _cold_cache_entry(self):
-        return {
-            "ops_per_s": 150.0,
-            "wall_s": 2.0,
-            "iterations": 6,
-            "rounds": 2,
-            "sessions_per_s": 39.0,
-            "p50_ms": 400.0,
-            "p99_ms": 410.0,
-            "warm_wall_s": 0.1,
-            "cold_wall_s": 0.41,
-            "cold_scalar_wall_s": 0.42,
-            "cold_penalty": 4.1,
-            "cold_coalesce_speedup": 1.02,
-            "profile_identical": True,
-            "shed": 0,
-        }
-
-    def test_serve_cold_cache_optional(self):
-        report = self._minimal_report()
-        assert validate_bench_report(report) == []
-        report["micro"]["serve_cold_cache"] = self._cold_cache_entry()
-        assert validate_bench_report(report) == []
-
-    def test_serve_cold_cache_fields_required_when_present(self):
-        report = self._minimal_report()
-        entry = self._cold_cache_entry()
-        del entry["profile_identical"]
-        report["micro"]["serve_cold_cache"] = entry
-        assert any(
-            "serve_cold_cache.profile_identical" in p
-            for p in validate_bench_report(report)
-        )
-
-    def test_serve_cold_cache_warnings(self):
-        from repro.perf.schema import bench_report_warnings
-
-        def cold_warnings(report):
-            return [
-                w
-                for w in bench_report_warnings(report)
-                if "serve_cold_cache" in w
-            ]
-
-        report = self._minimal_report()
-        report["micro"]["serve_cold_cache"] = self._cold_cache_entry()
-        # Parity is the honest measured result; no warning.
-        assert cold_warnings(report) == []
-        report["micro"]["serve_cold_cache"]["cold_coalesce_speedup"] = 0.7
-        report["micro"]["serve_cold_cache"]["profile_identical"] = False
-        warnings = cold_warnings(report)
-        assert any("0.8x" in w for w in warnings)
-        assert any("profile_identical" in w for w in warnings)
+    def test_serve_throughput_warnings(self):
+        self._check_warnings("serve_throughput")

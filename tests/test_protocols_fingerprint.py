@@ -25,7 +25,6 @@ class TestCanonicalBytes:
         # Values of different types must never serialize identically.
         candidates = [
             0,
-            False,
             None,
             "",
             b"",
@@ -38,6 +37,20 @@ class TestCanonicalBytes:
         ]
         encodings = [canonical_bytes(value) for value in candidates]
         assert len(set(encodings)) == len(encodings)
+        # A bool is the int it equals.
+        assert canonical_bytes(False) == canonical_bytes(0)
+
+    def test_bool_members_serialize_as_ints(self):
+        # frozenset({True, 2}) == frozenset({1, 2}), so the value-keyed
+        # cache may answer either with the other's bytes: the bytes must
+        # not depend on which was cached first.
+        from repro.util import hotcache
+
+        with hotcache.disabled():
+            expected = canonical_bytes(frozenset({1, 2}))
+        hotcache.clear_all()
+        assert canonical_bytes(frozenset({True, 2})) == expected
+        assert canonical_bytes(frozenset({1, 2})) == expected
 
     def test_concatenation_ambiguity_avoided(self):
         assert canonical_bytes((1, 23)) != canonical_bytes((12, 3))
@@ -91,6 +104,18 @@ class TestFingerprinter:
         a = Fingerprinter(shared.stream("f1"), width=64)
         b = Fingerprinter(shared.stream("f2"), width=64)
         assert a.value_of("hello") != b.value_of("hello")
+
+    def test_equal_sets_with_bool_members_agree(self):
+        # Fact 3.5: equal inputs always agree.  {True, 2} == {1, 2}.
+        from repro.protocols.equality import EqualityProtocol
+        from repro.util import hotcache
+
+        with hotcache.disabled():
+            for seed in range(8):
+                outcome = EqualityProtocol(width=32).run(
+                    frozenset({True, 2}), frozenset({1, 2}), seed=seed
+                )
+                assert outcome.alice_output is True
 
     def test_one_sided_equal_always_agree(self):
         printer = Fingerprinter(SharedRandomness(3).stream("f"), width=4)
