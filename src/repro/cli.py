@@ -293,15 +293,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faults.add_argument(
         "--players",
-        default="17",
-        help="comma-separated player counts m (multiparty mode only)",
+        default=None,
+        help="comma-separated player counts m (multiparty mode only; "
+        "default 17)",
     )
     faults.add_argument(
         "--common",
         type=int,
         default=None,
         help="planted common-core size per multiparty instance "
-        "(default max(1, k//8))",
+        "(multiparty mode only; default max(1, k//8))",
     )
     faults.add_argument(
         "--table-out",
@@ -933,12 +934,13 @@ def _two_party_instances(args) -> tuple:
 def _multiparty_instances(args) -> tuple:
     from repro.workloads import MultipartySpec
 
+    counts = "17" if args.players is None else args.players
     try:
-        players = [int(count) for count in _split(args.players)]
+        players = [int(count) for count in _split(counts)]
     except ValueError:
-        raise ValueError(f"bad --players value {args.players!r}") from None
+        raise ValueError(f"bad --players value {counts!r}") from None
     if not players or any(count < 2 for count in players):
-        raise ValueError(f"--players needs counts >= 2, got {args.players!r}")
+        raise ValueError(f"--players needs counts >= 2, got {counts!r}")
     common = args.common if args.common is not None else max(1, args.k // 8)
     return tuple(
         MultipartySpec(
@@ -955,7 +957,8 @@ def _multiparty_instances(args) -> tuple:
 class _FaultsMode:
     """What the two-party and the m-player ``repro faults`` sweeps differ
     in.  ``instances(args)`` builds the instance axis (``ValueError`` on
-    bad flags); ``title`` and ``row`` are ``str.format`` templates."""
+    bad flags; unset instance flags resolve there); ``title`` and ``row``
+    are ``str.format`` templates."""
 
     models: Tuple[str, ...]
     model_noun: str
@@ -1079,6 +1082,15 @@ def _faults_plan(args, mode: _FaultsMode, out):
         print(
             "--attempt-bit-budget and --adaptive-budget tune two-party "
             "retry; m-player recovery never reads them",
+            file=out,
+        )
+        return None
+    if not args.multiparty and (
+        args.players is not None or args.common is not None
+    ):
+        print(
+            "--players and --common shape m-player instances; the "
+            "two-party sweep never reads them (add --multiparty)",
             file=out,
         )
         return None

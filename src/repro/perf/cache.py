@@ -22,11 +22,12 @@ All cached functions are pure, so none of this ever changes results --
 only wall time and memory.  Lifetimes: caches keyed by one trial's coins
 or values (seed derivation, pairwise samples, fingerprints, tree leaf
 plans and node unions) are *trial* caches, emptied when a
-``hotcache.trial()`` scope exits -- the plan runner opens one per trial,
-so a sweep's dead entries never pile up for the cyclic collector to
-re-walk.  Caches keyed by sizes (primes, moduli, range sizes) are
-*process* caches.  Outside any scope -- serving, direct library calls,
-the bench micros -- every cache is a bounded process-wide LRU.  Forked
+``hotcache.trial()`` scope exits -- the plan runner opens one per trial
+and the server one per coalescer tick, so dead entries never pile up for
+the cyclic collector to re-walk.  Caches keyed by sizes (primes, moduli,
+range sizes) are *process* caches.  Outside any scope -- direct library
+calls, the engine-level bench micros -- every cache is a bounded
+process-wide LRU.  Forked
 worker processes inherit the parent's warm entries, spawned workers start
 cold, and either way the computed values are identical.
 """

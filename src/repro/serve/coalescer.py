@@ -57,6 +57,7 @@ from repro.serve.barrier import (
 from repro.serve.registry import ServedSession, SessionRegistry
 from repro.serve.wire import ServeError
 from repro.session import IntersectionSession, jaccard_from_common
+from repro.util import hotcache
 from repro.util.rng import SharedRandomness
 
 __all__ = [
@@ -420,29 +421,33 @@ class BatchCoalescer:
     # -- execution (synchronous: one tick's work) ---------------------------
 
     def _execute(self, batch: List[PendingOp]) -> None:
-        self.stats.dispatches += 1
-        if not self.coalesce:
-            for op in batch:
-                self._execute_scalar(op)
-            return
+        # One tick is one trial scope: the trial caches' hits fall inside
+        # the tick that made their entries, so the entries die with it,
+        # while the process caches keep hitting across ticks (DESIGN §7).
+        with hotcache.trial():
+            self.stats.dispatches += 1
+            if not self.coalesce:
+                for op in batch:
+                    self._execute_scalar(op)
+                return
 
-        eligible: List[PendingOp] = []
-        tree_eligible: List[PendingOp] = []
-        for op in batch:
-            if op.kind in OP_KINDS and coalescible(op.entry.session):
-                eligible.append(op)
-            elif op.kind in OP_KINDS and tree_coalescible(op.entry.session):
-                tree_eligible.append(op)
-            else:
-                self._execute_scalar(op)
-        if eligible:
-            if len(eligible) == 1:
-                # A lone operation gains nothing from the batch plumbing.
-                self._execute_scalar(eligible[0])
-            else:
-                self._execute_coalesced(eligible)
-        if tree_eligible:
-            self._execute_tree(tree_eligible)
+            eligible: List[PendingOp] = []
+            tree_eligible: List[PendingOp] = []
+            for op in batch:
+                if op.kind in OP_KINDS and coalescible(op.entry.session):
+                    eligible.append(op)
+                elif op.kind in OP_KINDS and tree_coalescible(op.entry.session):
+                    tree_eligible.append(op)
+                else:
+                    self._execute_scalar(op)
+            if eligible:
+                if len(eligible) == 1:
+                    # A lone operation gains nothing from the batch plumbing.
+                    self._execute_scalar(eligible[0])
+                else:
+                    self._execute_coalesced(eligible)
+            if tree_eligible:
+                self._execute_tree(tree_eligible)
 
     def _execute_scalar(self, op: PendingOp) -> None:
         self.stats.scalar_ops += 1

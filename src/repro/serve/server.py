@@ -196,6 +196,16 @@ class IntersectionServer:
             "fingerprint": self.registry.fingerprint(),
         }
 
+    def metrics_payload(self) -> Dict[str, Any]:
+        """Live metrics (the ``metrics`` reply body): the queue depth, the
+        shed count and the metrics-registry snapshot, which holds every
+        hot cache's hits, misses and ``currsize``."""
+        return {
+            "pending": self.coalescer.pending,
+            "shed": self.shed_total,
+            "snapshot": _metrics.snapshot(include_hotcache=True),
+        }
+
     # -- connection handling ------------------------------------------------
 
     async def _handle_connection(
@@ -387,6 +397,8 @@ class IntersectionServer:
             return {"ok": True, "stats": entry.stats_payload()}
         if op == "info":
             return {"ok": True, "info": self.info_payload()}
+        if op == "metrics":
+            return {"ok": True, "metrics": self.metrics_payload()}
         if op == "shutdown":
             self._closing = True
             return {"ok": True, "stopping": True}

@@ -25,10 +25,11 @@ sizes only (primes, moduli, range sizes) and hits across every trial of a
 process.  Trial lifetimes matter for time as much as memory: a plan sweep
 that never empties them holds ~10^5 dead entries, and CPython's cyclic
 collector re-walks every one of them on each full collection -- long
-pauses that free nothing.  The plan runner opens one :func:`trial` scope per trial; code
-outside any scope (the serving layer, direct library calls, the bench
-micros, several of which replay one seed and hit across runs) keeps every
-cache as a bounded process-wide LRU.
+pauses that free nothing.  The plan runner opens one :func:`trial` scope
+per trial and the serving layer one per coalescer tick; code outside any
+scope (direct library calls, the serial serve oracle, the engine-level
+bench micros, several of which replay one seed and hit across runs)
+keeps every cache as a bounded process-wide LRU.
 
 **Counts.**  :func:`stats` hit and miss counts are cumulative for the
 process: clearing a cache (a scope exit, :func:`clear_all`,
@@ -193,8 +194,10 @@ def trial() -> Iterator[None]:
     """Context manager scoping one trial: on exit, however the block ends,
     empty every :data:`TRIAL`-lifetime cache.
 
-    Scopes may nest (each exit clears) and may run on several threads at
-    once; :data:`PROCESS` caches, the kill-switch and the cumulative
+    A trial is whatever unit the trial caches' hits fall inside: one plan
+    trial for the plan runner, one coalescer tick for the server.  Scopes
+    may nest (each exit clears) and may run on several threads at once;
+    :data:`PROCESS` caches, the kill-switch and the cumulative
     :func:`stats` counts are untouched.
     """
     try:

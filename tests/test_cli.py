@@ -242,6 +242,22 @@ class TestFaults:
         assert code == 2
         assert "bad rate" in output
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--players", "3"], ["--common", "99"],
+         ["--players", "3", "--common", "99"]],
+    )
+    def test_multiparty_instance_flags_rejected(self, flags):
+        # The two-party sweep never reads them; ignoring them would print a
+        # table the flags did not shape.
+        code, output = run_cli(
+            ["faults", "--k", "8", "--trials", "1", "--rates", "0.01",
+             "--protocols", "bucket"] + flags
+        )
+        assert code == 2
+        assert flags[0] in output and "--multiparty" in output
+        assert "exact%" not in output
+
 
 class TestFaultsPlan:
     # The plan decides the sweep's shard-cache keys: unset flags must

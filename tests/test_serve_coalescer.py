@@ -21,6 +21,7 @@ from repro.serve.coalescer import (
 )
 from repro.serve.wire import ServeError
 from repro.session import IntersectionSession
+from repro.util import hotcache
 
 
 def _mixed_requests(seed: int):
@@ -80,8 +81,27 @@ class TestCoalescible:
         )
 
 
+def _cache_sizes(lifetime):
+    stats = hotcache.stats()
+    return {
+        name: stats[name]["currsize"]
+        for name in hotcache.registered_names(lifetime)
+    }
+
+
+def _assert_tick_scoped(process_before):
+    # One tick is one trial scope: once it has drained, the trial caches
+    # are empty and every process cache still holds its entries.
+    assert not any(_cache_sizes(hotcache.TRIAL).values())
+    process_after = _cache_sizes(hotcache.PROCESS)
+    assert any(process_after.values())
+    for name, size in process_before.items():
+        assert process_after[name] >= size, name
+
+
 def _drive(registry, ops, *, coalesce: bool):
-    """Submit ops to a coalescer and drain until every future resolves."""
+    """Submit ops to a coalescer and drain until every future resolves,
+    then check the drained tick left only process-lifetime cache entries."""
 
     async def scenario():
         coalescer = BatchCoalescer(registry, coalesce=coalesce, tick_s=0.0)
@@ -103,7 +123,10 @@ def _drive(registry, ops, *, coalesce: bool):
         await coalescer.stop()
         return outcomes, coalescer.stats
 
-    return asyncio.run(scenario())
+    process_before = _cache_sizes(hotcache.PROCESS)
+    result = asyncio.run(scenario())
+    _assert_tick_scoped(process_before)
+    return result
 
 
 class TestCoalescerDrain:
@@ -151,6 +174,11 @@ class TestCoalescerDrain:
         batched_history = batched.get("s0").session.stats().history
         serial_history = serial.get("s0").session.stats().history
         assert batched_history == serial_history
+        # A lone op in its tick takes the scalar path, same record.
+        lone = self._registry(1)
+        _, stats = _drive(lone, ops[:1], coalesce=True)
+        assert stats.scalar_ops == 1 and stats.coalesced_ops == 0
+        assert lone.get("s0").session.stats().history == serial_history[:1]
 
     def test_invalid_input_fails_only_that_op(self, rng):
         s, t = make_instance(rng, 1 << 20, 64, 0.5)
@@ -180,9 +208,11 @@ class TestCoalescerDrain:
             await coalescer.stop()
             return value, value2, excinfo.value
 
+        process_before = _cache_sizes(hotcache.PROCESS)
         value, value2, error = asyncio.run(scenario())
         assert value == value2 == len(s & t)
         assert error.type == "invalid-input"
+        _assert_tick_scoped(process_before)
 
     def test_non_coalescible_session_takes_scalar_path(self, rng):
         # Multi-round sessions now coalesce through the round-barrier
@@ -233,10 +263,19 @@ class TestCoalescerDrain:
             s, t = make_instance(rng, 1 << 20, 64, 0.5)
             ops.append(("a", "size", s, t))
             ops.append(("b", "size", s, t))
+        hits_before = hotcache.stats()
         _, stats = _drive(registry, ops, coalesce=True)
         assert stats.scalar_ops == 0
         assert stats.coalesced_ops == 6
         assert stats.barriers > 0
+        # The trial caches still hit while the tick runs: the scope empties
+        # them when the tick ends, not between the steps of an op.
+        hits_after = hotcache.stats()
+        for name in (
+            "core.tree_protocol.node_union",
+            "protocols.fingerprint.value_of",
+        ):
+            assert hits_after[name]["hits"] > hits_before[name]["hits"], name
         for key in ("a", "b"):
             history = registry.get(key).session.stats().history
             assert all(

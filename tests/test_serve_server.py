@@ -12,6 +12,7 @@ import pytest
 from conftest import make_instance
 from repro.serve import IntersectionServer, ServeConfig
 from repro.serve.wire import FrameReader, encode_frame
+from repro.util import hotcache
 
 
 async def _client(server):
@@ -145,6 +146,52 @@ class TestControlOps:
             writer.close()
 
         _with_server(ServeConfig(max_frame_bytes=1024), scenario)
+
+
+class TestMetricsOp:
+    def test_metrics_after_a_multi_round_load(self, rng):
+        # Pipelined r = 2 ops from two sessions share ticks; each tick's
+        # trial scope empties the trial caches, while node_union still hits
+        # inside the tick.
+        pairs = [make_instance(rng, 1 << 20, 64, 0.5) for _ in range(6)]
+
+        async def scenario(server):
+            frames, writer = await _client(server)
+            for key in ("a", "b"):
+                await _ask(
+                    frames, writer,
+                    {"op": "open", "session": key, "universe": 1 << 20,
+                     "k": 64, "rounds": 2},
+                )
+            before = await _ask(frames, writer, {"op": "metrics"})
+            for i, (s, t) in enumerate(pairs):
+                writer.write(encode_frame(
+                    {"op": "size", "id": i, "session": "ab"[i % 2],
+                     "alice": sorted(s), "bob": sorted(t)}
+                ))
+            await writer.drain()
+            replies = [await frames.next() for _ in pairs]
+            after = await _ask(frames, writer, {"op": "metrics"})
+            writer.close()
+            return before, replies, after
+
+        before, replies, after = _with_server(
+            ServeConfig(tick_s=0.01), scenario
+        )
+        assert all(
+            reply["protocol"] == "verification-tree" for reply in replies
+        )
+        assert after["ok"]
+        body = after["metrics"]
+        assert body["pending"] == 0 and body["shed"] == 0
+        snapshot = body["snapshot"]
+        for name in hotcache.registered_names(hotcache.TRIAL):
+            assert snapshot[f"hotcache.{name}"]["currsize"] == 0, name
+        union = "hotcache.core.tree_protocol.node_union"
+        assert (
+            snapshot[union]["hits"]
+            > before["metrics"]["snapshot"][union]["hits"]
+        )
 
 
 class TestBackpressure:
