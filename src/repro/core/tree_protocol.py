@@ -45,13 +45,13 @@ abandon the run at a stage boundary once it exceeds the budget, outputting
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, Generator, List, Optional, Tuple
 
 from repro.comm.engine import PartyContext, Recv, Send
 from repro.core.verification_tree import VerificationTree
 from repro.obs.state import STATE as _OBS
-from repro.hashing.pairwise import PairwiseHash, sample_pairwise_hash
+from repro.hashing.pairwise import _draw_params, sample_pairwise_hash
 from repro.kernels import affine_image_segments, sort_ints
 from repro.protocols.base import SetIntersectionProtocol
 from repro.protocols.basic_intersection import range_for_inverse_failure
@@ -60,7 +60,7 @@ from repro.protocols.fingerprint import Fingerprinter
 from repro.util import hotcache
 from repro.util.bits import BitReader, BitWriter
 from repro.util.iterlog import ceil_log2, iterated_log, log_star
-from repro.util.rng import RandomStream
+from repro.util.rng import _derive_seed_impl
 
 __all__ = [
     "TreeProtocol",
@@ -72,15 +72,20 @@ __all__ = [
 ]
 
 
+#: One stage's per-leaf re-run plan: ``(mult, shift, prime, range_size,
+#: width)`` per failed leaf -- the Lemma 3.3 hash parameters and the wire
+#: width of one of its images.
+LeafPlan = Tuple[int, int, int, int, int]
+
+
 def _leaf_plans_impl(
     shared_key: tuple,
     stage: int,
     universe_size: int,
     inverse_failure: float,
     leaf_totals: Tuple[Tuple[int, int], ...],
-) -> Tuple[Tuple[PairwiseHash, int], ...]:
-    """The per-leaf re-run plan for one stage: ``(hash function, wire
-    width)`` for every failed leaf, in ``leaf_totals`` order.
+) -> Tuple[LeafPlan, ...]:
+    """The per-leaf re-run plan for one stage, in ``leaf_totals`` order.
 
     ``leaf_totals`` pairs each failed leaf with ``|S_u| + |T_u|`` (the
     combined candidate sizes, which both parties know after the size
@@ -88,19 +93,24 @@ def _leaf_plans_impl(
     randomness identity and the stage this determines the plan exactly, so
     the whole stage's derivation is one cacheable unit: both parties compute
     the identical plan within a run, and replayed runs hit outright.
+
+    Each leaf's parameters are the ones ``sample_pairwise_hash`` draws from
+    the leaf's shared stream ``{prefix}/tree/bi/s{stage}/u{leaf}``, drawn
+    without building the stream or a ``PairwiseHash``.  The seed derivation
+    bypasses its trial cache: every label here is new, and this unit is
+    cached as a whole.
     """
     seed, prefix = shared_key
     label_fmt = f"{prefix}/tree/bi/s{stage}/u{{}}" if prefix else f"tree/bi/s{stage}/u{{}}"
     plans = []
     for leaf, total in leaf_totals:
         range_size = range_for_inverse_failure(total, inverse_failure)
-        stream = RandomStream(seed, label_fmt.format(leaf))
-        plans.append(
-            (
-                sample_pairwise_hash(universe_size, range_size, stream),
-                ceil_log2(range_size),
-            )
+        mult, shift, prime = _draw_params(
+            _derive_seed_impl(seed, label_fmt.format(leaf)),
+            universe_size,
+            range_size,
         )
+        plans.append((mult, shift, prime, range_size, ceil_log2(range_size)))
     return tuple(plans)
 
 
@@ -109,6 +119,26 @@ _leaf_plans_cached = hotcache.register(
     lru_cache(maxsize=1 << 12)(_leaf_plans_impl),
     lifetime=hotcache.TRIAL,
 )
+
+
+@hotcache.memoize(
+    "core.tree_protocol.level_spans", lifetime=hotcache.PROCESS, maxsize=1 << 6
+)
+def _tree_spans(
+    num_leaves: int, rounds: int
+) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """Per-level ``(leaf_start, leaf_end)`` spans of the verification tree.
+
+    The tree depends on ``(num_leaves, rounds)`` alone, so every protocol
+    instance of one shape shares one immutable copy: players build a
+    protocol per attempt, and serving builds one per scalar op.  Plain int
+    pairs also beat node attribute access in the equality sweep, which
+    walks every node of a level each stage.
+    """
+    return tuple(
+        tuple((node.leaf_start, node.leaf_end) for node in level)
+        for level in VerificationTree(num_leaves, rounds).levels
+    )
 
 
 #: The (immutable) empty candidate set, shared by every leaf that starts or
@@ -296,18 +326,15 @@ class TreeProtocol(SetIntersectionProtocol):
         if num_leaves < 1:
             raise ValueError(f"num_leaves must be >= 1, got {num_leaves}")
         self.num_leaves = num_leaves
-        if rounds > 1:
-            self.tree = VerificationTree(num_leaves, rounds)
-            # Per-level (leaf_start, leaf_end) pairs, extracted once: the
-            # equality sweep walks every node of a level each stage, and
-            # plain int pairs beat dataclass attribute access in that loop.
-            self._level_spans = [
-                [(node.leaf_start, node.leaf_end) for node in level]
-                for level in self.tree.levels
-            ]
-        else:
-            self.tree = None
-            self._level_spans = None
+        self._level_spans = _tree_spans(num_leaves, rounds) if rounds > 1 else None
+
+    @cached_property
+    def tree(self) -> Optional[VerificationTree]:
+        """The :class:`VerificationTree` (``None`` when ``r = 1``), built on
+        first read; the protocol itself runs on the cached level spans."""
+        if self.rounds == 1:
+            return None
+        return VerificationTree(self.num_leaves, self.rounds)
 
     # -- r = 1 base case ----------------------------------------------------
 
@@ -563,21 +590,16 @@ class TreeProtocol(SetIntersectionProtocol):
             leaf_elements = [list(assignment[leaf]) for leaf in failed_leaves]
             image_runs = yield AffineSweepRequest(
                 tuple(
-                    (
-                        xs,
-                        hash_fn.mult,
-                        hash_fn.shift,
-                        hash_fn.prime,
-                        hash_fn.range_size,
+                    (xs, mult, shift, prime, range_size)
+                    for xs, (mult, shift, prime, range_size, _) in zip(
+                        leaf_elements, plans
                     )
-                    for xs, (hash_fn, _) in zip(leaf_elements, plans)
                 )
             )
             leaf_images: List[list] = []
             writer = BitWriter()
-            for xs, run_images, (_, width) in zip(
-                leaf_elements, image_runs, plans
-            ):
+            for xs, run_images, plan in zip(leaf_elements, image_runs, plans):
+                width = plan[4]
                 images = list(zip(run_images, xs))
                 leaf_images.append(images)
                 if len(images) > 1:
@@ -599,9 +621,10 @@ class TreeProtocol(SetIntersectionProtocol):
                 bits_seen += len(hash_payload)
                 yield Send(hash_payload)
             reader = BitReader(other_payload)
-            for leaf, other_size, (_, width), images in zip(
+            for leaf, other_size, plan, images in zip(
                 failed_leaves, other_sizes, plans, leaf_images
             ):
+                width = plan[4]
                 # Empty intersections dominate the later stages: when
                 # either side has nothing, the survivor set is empty, but
                 # the peer's run bits must still be consumed exactly.

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random as _random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List
+from typing import Iterable, List, Tuple
 
 from repro.hashing.primes import next_prime
 from repro.kernels import affine_image_batch
@@ -165,19 +165,37 @@ def _modulus_for(universe_size: int, range_size: int) -> int:
     return _modulus_impl(universe_size, range_size)
 
 
+def _draw_coins(rng: _random.Random, prime: int) -> Tuple[int, int]:
+    """``(mult, shift)`` drawn from ``rng`` in :func:`sample_pairwise_hash`'s
+    order (``uint_below`` is ``randrange`` on the stream's twister)."""
+    return 1 + rng.randrange(prime - 1), rng.randrange(prime)
+
+
+def _draw_params(
+    derived_seed: int, universe_size: int, range_size: int
+) -> Tuple[int, int, int]:
+    """``(mult, shift, prime)`` exactly as :func:`sample_pairwise_hash`
+    draws them from a fresh stream whose derived seed is ``derived_seed``.
+
+    Callers that only need the parameters (the tree protocol's per-leaf
+    plans) call this directly and skip the stream and
+    :class:`PairwiseHash` objects.
+    """
+    prime = _modulus_for(universe_size, range_size)
+    mult, shift = _draw_coins(_random.Random(derived_seed), prime)
+    return mult, shift, prime
+
+
 def _sample_impl(
     derived_seed: int, universe_size: int, range_size: int
 ) -> PairwiseHash:
-    # Must draw exactly as sample_pairwise_hash does on a fresh stream:
-    # uint_below is randrange on the stream's seeded twister.
-    rng = _random.Random(derived_seed)
-    prime = _modulus_for(universe_size, range_size)
+    mult, shift, prime = _draw_params(derived_seed, universe_size, range_size)
     return PairwiseHash(
         universe_size=universe_size,
         range_size=range_size,
         prime=prime,
-        mult=1 + rng.randrange(prime - 1),
-        shift=rng.randrange(prime),
+        mult=mult,
+        shift=shift,
     )
 
 
@@ -215,12 +233,7 @@ def sample_pairwise_hash(
     if hotcache.enabled() and stream.untouched:
         sampled = _sample_cached(stream.derived_seed, universe_size, range_size)
         prime = sampled.prime
-
-        def replay(rng):
-            rng.randrange(prime - 1)
-            rng.randrange(prime)
-
-        stream.skip_draws(replay)
+        stream.skip_draws(lambda rng: _draw_coins(rng, prime))
         return sampled
     prime = _modulus_for(universe_size, range_size)
     mult = 1 + stream.uint_below(prime - 1)

@@ -25,11 +25,11 @@ plans and node unions) are *trial* caches, emptied when a
 ``hotcache.trial()`` scope exits -- the plan runner opens one per trial
 and the server one per coalescer tick, so dead entries never pile up for
 the cyclic collector to re-walk.  Caches keyed by sizes (primes, moduli,
-range sizes) are *process* caches.  Outside any scope -- direct library
-calls, the engine-level bench micros -- every cache is a bounded
-process-wide LRU.  Forked
-worker processes inherit the parent's warm entries, spawned workers start
-cold, and either way the computed values are identical.
+range sizes, the tree's level spans) are *process* caches.  Outside any
+scope -- direct library calls, the engine-level bench micros -- every
+cache is a bounded process-wide LRU.  Forked worker processes inherit the
+parent's warm entries, spawned workers start cold, and either way the
+computed values are identical.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import random
 from functools import lru_cache
-from typing import Any
+from typing import Any, Optional, Sequence
 
 from repro.hashing.primes import next_prime
 from repro.kernels import fingerprint_sweep
@@ -36,11 +36,22 @@ from repro.util import hotcache
 from repro.util.bits import BitString
 from repro.util.rng import RandomStream
 
-__all__ = ["canonical_bytes", "Fingerprinter", "polynomial_fingerprint"]
+__all__ = [
+    "canonical_bytes",
+    "canonical_tuple_bytes",
+    "Fingerprinter",
+    "polynomial_fingerprint",
+]
+
+
+#: One-byte length headers, the common case of :func:`_encode_length`.
+_SHORT_LENGTHS = tuple(bytes((length,)) for length in range(128))
 
 
 def _encode_length(length: int) -> bytes:
     """Self-delimiting length header (varint, 7 bits per byte)."""
+    if length < 128:
+        return _SHORT_LENGTHS[length]
     out = bytearray()
     while True:
         byte = length & 0x7F
@@ -52,7 +63,82 @@ def _encode_length(length: int) -> bytes:
             return bytes(out)
 
 
-def _canonical_bytes_impl(value: Any) -> bytes:
+#: Set members the one-pass path takes: exactly these types (a ``bool``
+#: serializes as the int it equals; int subclasses take the general path).
+_INT_TYPES = frozenset((int, bool))
+#: Ints below this bound have at most 127 payload bytes, so their length
+#: header is one byte.
+_ONE_BYTE_HEADER_LIMIT = 1 << 1016
+#: ``b"I"`` plus the one-byte length header, by payload length.
+_INT_HEADERS = tuple(b"I" + bytes((length,)) for length in range(128))
+
+
+def _int_set_bytes(value) -> Optional[bytes]:
+    """:func:`canonical_bytes` of a set of ints, by one sorted pass over
+    the ints; ``None`` unless every member is an ``int`` or ``bool`` below
+    ``2**1016``.
+
+    Such a member serializes as ``b"I"``, a one-byte payload length and a
+    big-endian payload with no leading zero byte, so a longer payload is a
+    larger int and equal lengths compare byte by byte as the ints do:
+    sorting the ints sorts their serializations.  Past ``2**1016`` the
+    header grows to two bytes, and at 256 payload bytes byte order stops
+    matching int order, so those sets take :func:`_general_set_bytes`.
+
+    :raises ValueError: on a negative member, like the general path.
+    """
+    if not _INT_TYPES.issuperset(map(type, value)):
+        return None
+    members = sorted(value)
+    if not members:
+        return b"F\x00\x00"
+    if members[0] < 0:
+        raise ValueError(
+            f"canonical_bytes only covers nonnegative ints: {members[0]}"
+        )
+    if members[-1] >= _ONE_BYTE_HEADER_LIMIT:
+        return None
+    body = b"".join(
+        [
+            _INT_HEADERS[(size := (x.bit_length() + 7) >> 3 or 1)]
+            + x.to_bytes(size, "big")
+            for x in members
+        ]
+    )
+    return b"F" + _encode_length(len(members)) + _encode_length(len(body)) + body
+
+
+def _general_set_bytes(value) -> bytes:
+    """:func:`canonical_bytes` of any set: each member serialized on its
+    own, the parts sorted as bytes."""
+    parts = sorted(canonical_bytes(item) for item in value)
+    body = b"".join(parts)
+    return b"F" + _encode_length(len(parts)) + _encode_length(len(body)) + body
+
+
+def canonical_tuple_bytes(parts: Sequence[bytes]) -> bytes:
+    """:func:`canonical_bytes` of a tuple whose items serialize to
+    ``parts``, framed without serializing the items again."""
+    body = b"".join(parts)
+    return b"T" + _encode_length(len(parts)) + _encode_length(len(body)) + body
+
+
+def canonical_bytes(value: Any) -> bytes:
+    """Serialize a value unambiguously (equal values <=> equal bytes).
+
+    Supported: nonnegative ``int`` (a ``bool`` serializes as the int it
+    equals), ``bytes``, ``str``, ``BitString``, ``None``, and (nested)
+    ``tuple`` / ``list`` / ``set`` / ``frozenset`` of supported values.
+    Sets are serialized in sorted order of their members' serializations,
+    so set equality maps to byte equality.
+    Tagged and length-prefixed, so e.g. ``(1, 2)`` and ``(12,)`` cannot
+    collide.
+
+    Not memoized: a value-keyed cache would answer a rejected value with
+    the bytes of an equal supported one (``{1.0, 2} == {1, 2}``).  The
+    tree protocol's node values are int sets, which serialize in one
+    sorted pass (:func:`_int_set_bytes`).
+    """
     if value is None:
         return b"N"
     if isinstance(value, int):  # a bool serializes as the int it equals
@@ -69,50 +155,10 @@ def _canonical_bytes_impl(value: Any) -> bytes:
         body = canonical_bytes(value.value) + canonical_bytes(len(value))
         return b"W" + _encode_length(len(body)) + body
     if isinstance(value, (tuple, list)):
-        parts = [canonical_bytes(item) for item in value]
-        body = b"".join(parts)
-        return b"T" + _encode_length(len(parts)) + _encode_length(len(body)) + body
+        return canonical_tuple_bytes([canonical_bytes(item) for item in value])
     if isinstance(value, (set, frozenset)):
-        parts = sorted(canonical_bytes(item) for item in value)
-        body = b"".join(parts)
-        return b"F" + _encode_length(len(parts)) + _encode_length(len(body)) + body
+        return _int_set_bytes(value) or _general_set_bytes(value)
     raise TypeError(f"canonical_bytes does not support {type(value).__name__}")
-
-
-# typed=True is load-bearing: lru_cache keys compare with ==, and 1.0 == 1
-# although canonical_bytes rejects floats, so an untyped cache would answer
-# 1.0 with the bytes of 1.
-_canonical_bytes_cached = hotcache.register(
-    "protocols.fingerprint.canonical_bytes",
-    lru_cache(maxsize=1 << 16, typed=True)(_canonical_bytes_impl),
-    lifetime=hotcache.TRIAL,
-)
-
-
-def canonical_bytes(value: Any) -> bytes:
-    """Serialize a value unambiguously (equal values <=> equal bytes).
-
-    Supported: nonnegative ``int`` (a ``bool`` serializes as the int it
-    equals), ``bytes``, ``str``, ``BitString``, ``None``, and (nested)
-    ``tuple`` / ``list`` / ``set`` / ``frozenset`` of supported values.
-    Sets are serialized in sorted order of their members' serializations,
-    so set equality maps to byte equality.
-    Tagged and length-prefixed, so e.g. ``(1, 2)`` and ``(12,)`` cannot
-    collide.
-
-    Hashable values are memoized (equality tests fingerprint the same hash
-    values and small tuples over and over); unhashable containers fall
-    through to the direct implementation, whose recursion still benefits
-    from cached leaves.
-    """
-    if hotcache.enabled():
-        try:
-            return _canonical_bytes_cached(value)
-        except TypeError:
-            # Unhashable (list / set) -- serialize directly.  Unsupported
-            # types also land here and re-raise from the impl below.
-            pass
-    return _canonical_bytes_impl(value)
 
 
 def _salt_impl(derived_seed: int) -> bytes:
@@ -157,8 +203,9 @@ def _fingerprint_of_impl(salt: bytes, width: int, value: Any) -> int:
 
 
 # Value-keyed variant: one cache lookup per fingerprint instead of
-# canonical_bytes + digest lookups.  typed=True for the same 1.0 == 1
-# reason as the canonical_bytes cache.
+# canonical_bytes + digest lookups.  typed=True is load-bearing: lru_cache
+# keys compare with ==, and 1.0 == 1 although canonical_bytes rejects
+# floats, so an untyped cache would answer 1.0 with the print of 1.
 _fingerprint_of_cached = hotcache.register(
     "protocols.fingerprint.value_of",
     lru_cache(maxsize=1 << 16, typed=True)(_fingerprint_of_impl),
@@ -207,16 +254,29 @@ class Fingerprinter:
         return self._salt
 
     def value_of(self, value: Any) -> int:
-        """The fingerprint of ``value`` as an integer in ``[2^width)``."""
+        """The fingerprint of ``value`` as an integer in ``[2^width)``.
+
+        A value :func:`canonical_bytes` rejects raises on a cold cache.
+        The cache is keyed by value equality and ``typed`` separates
+        top-level types only, so once an equal supported value was printed
+        under the same salt, a rejected one nested in a container (a float
+        in a set: ``{1.0, 2} == {1, 2}``) is answered with that value's
+        print instead of raising.
+        """
         if hotcache.enabled():
             try:
                 return _fingerprint_of_cached(self._salt, self.width, value)
             except TypeError:
-                # Unhashable value: fall back to the digest-keyed cache.
-                return _fingerprint_cached(
-                    self._salt, self.width, canonical_bytes(value)
-                )
-        return _fingerprint_impl(self._salt, self.width, canonical_bytes(value))
+                pass  # unhashable: serialize, then the digest-keyed cache
+        return self.value_of_serialized(canonical_bytes(value))
+
+    def value_of_serialized(self, data: bytes) -> int:
+        """:meth:`value_of` of the value whose :func:`canonical_bytes` is
+        ``data``, for callers that assemble serializations from parts they
+        made once (the amortized equality's group tests)."""
+        if hotcache.enabled():
+            return _fingerprint_cached(self._salt, self.width, data)
+        return _fingerprint_impl(self._salt, self.width, data)
 
     def values_of(self, values) -> list:
         """Bulk :meth:`value_of` over *hashable* values.

@@ -42,16 +42,28 @@ from typing import Any, Generator, List, Sequence
 
 from repro.comm.engine import PartyContext, Recv, Send, run_two_party
 from repro.comm.errors import ProtocolAborted
-from repro.protocols.fingerprint import Fingerprinter
+from repro.protocols.fingerprint import (
+    Fingerprinter,
+    canonical_bytes,
+    canonical_tuple_bytes,
+)
 from repro.util.bits import BitReader, BitString, BitWriter
 
 __all__ = ["AmortizedEqualityProtocol", "run_amortized_equality"]
 
 
+def _print_of(printer: Fingerprinter, encoded: Sequence[bytes], indices) -> int:
+    """The print of ``tuple((idx, values[idx]) for idx in indices)``, framed
+    from the instances' serializations ``encoded[idx]``."""
+    return printer.value_of_serialized(
+        canonical_tuple_bytes([encoded[idx] for idx in indices])
+    )
+
+
 def _exchange_tests(
     ctx: PartyContext,
     groups: List[List[int]],
-    values: Sequence[Any],
+    encoded: Sequence[bytes],
     width: int,
     label: str,
 ) -> Generator:
@@ -59,18 +71,17 @@ def _exchange_tests(
 
     Alice ships one fingerprint per group; Bob replies one verdict bit per
     group.  Returns the verdict list (common knowledge).  A 0 verdict is a
-    *certain* witness that the group's contents differ.
+    *certain* witness that the group's contents differ.  ``encoded`` holds
+    each instance's serialization (see :func:`_print_of`).
     """
     printer = Fingerprinter(ctx.shared.stream(label), width)
-
-    def group_print(group: List[int]) -> int:
-        return printer.value_of(tuple((idx, values[idx]) for idx in group))
-
     if ctx.role == "alice":
         # One shared writer, one bulk run: the whole level's fingerprints
         # assemble in O(total bits), not a per-group concat chain.
         writer = BitWriter()
-        writer.write_run([group_print(group) for group in groups], width)
+        writer.write_run(
+            [_print_of(printer, encoded, group) for group in groups], width
+        )
         yield Send(writer.finish())
         reader = BitReader((yield Recv()))
         verdicts = reader.read_run(len(groups), 1)
@@ -80,7 +91,7 @@ def _exchange_tests(
     received = reader.read_run(len(groups), width)
     reader.expect_exhausted()
     verdicts = [
-        int(got == group_print(group))
+        int(got == _print_of(printer, encoded, group))
         for got, group in zip(received, groups)
     ]
     writer = BitWriter()
@@ -118,6 +129,9 @@ def run_amortized_equality(
         raise ValueError(f"expected {num_instances} values, got {len(values)}")
     wide = final_width or (math.ceil(math.sqrt(max(num_instances, 1))) + 8)
     proven_unequal: set = set()
+    # Every level and pass prints groups of the same (idx, value) pairs, so
+    # each pair is serialized once per call.
+    encoded = [canonical_bytes((idx, value)) for idx, value in enumerate(values)]
 
     for pass_index in range(max_passes):
         claimed = [i for i in range(num_instances) if i not in proven_unequal]
@@ -130,7 +144,7 @@ def run_amortized_equality(
                 for start in range(0, len(claimed), size)
             ]
             verdicts = yield from _exchange_tests(
-                ctx, groups, values, width, f"{label}/p{pass_index}/l{level}/g"
+                ctx, groups, encoded, width, f"{label}/p{pass_index}/l{level}/g"
             )
             suspects = [
                 idx
@@ -142,7 +156,7 @@ def run_amortized_equality(
                 # Re-test the members of mismatching groups individually.
                 singles = [[idx] for idx in suspects]
                 single_verdicts = yield from _exchange_tests(
-                    ctx, singles, values, width, f"{label}/p{pass_index}/l{level}/s"
+                    ctx, singles, encoded, width, f"{label}/p{pass_index}/l{level}/s"
                 )
                 for idx, match in zip(suspects, single_verdicts):
                     if not match:
@@ -156,7 +170,7 @@ def run_amortized_equality(
         printer = Fingerprinter(
             ctx.shared.stream(f"{label}/final{pass_index}"), wide
         )
-        mine = printer.bits_of(tuple((idx, values[idx]) for idx in claimed))
+        mine = BitString(_print_of(printer, encoded, claimed), wide)
         if ctx.role == "alice":
             yield Send(mine)
             verdict = yield Recv()

@@ -1,8 +1,8 @@
 """Registry, lifetimes and kill-switch for the library's hot-path caches.
 
 Several pure functions sit on the per-trial hot path (primality testing,
-prime search, hash-parameter setup, stream-seed derivation, canonical
-serialization) and are memoized with :func:`functools.lru_cache`.  The
+prime search, hash-parameter setup, stream-seed derivation, fingerprints,
+the tree's shape) and are memoized with :func:`functools.lru_cache`.  The
 caches are *semantically invisible* -- every cached function is a pure
 function of its arguments -- but benchmarks need to measure the uncached
 baseline, and long-running processes need to bound cache memory.  This

@@ -1,16 +1,25 @@
 """Tests for canonical serialization and fingerprinting."""
 
+import contextlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.protocols.fingerprint import (
     Fingerprinter,
+    _general_set_bytes,
+    _int_set_bytes,
     canonical_bytes,
+    canonical_tuple_bytes,
     polynomial_fingerprint,
 )
+from repro.util import hotcache
 from repro.util.bits import BitString
 from repro.util.rng import SharedRandomness
+
+#: The last int the one-pass set path takes: 127 payload bytes.
+LAST_FAST_INT = 2**1016 - 1
 
 
 class TestCanonicalBytes:
@@ -85,6 +94,130 @@ class TestCanonicalBytes:
     )
     def test_deterministic(self, value):
         assert canonical_bytes(value) == canonical_bytes(value)
+
+
+class TestRejectedValuesStayRejected:
+    """Warm caches must not answer a value canonical_bytes rejects with the
+    bytes or print of an equal supported value ({1.0, 2} == {1, 2})."""
+
+    def test_canonical_bytes_after_the_equal_int_set(self):
+        canonical_bytes(frozenset({1, 2}))
+        with pytest.raises(TypeError):
+            canonical_bytes(frozenset({1.0, 2}))
+
+    def test_fresh_salt_value_of_after_the_equal_int_set(self):
+        canonical_bytes(frozenset({1, 2}))
+        Fingerprinter(SharedRandomness(12).stream("warm"), 16).value_of(
+            frozenset({1, 2})
+        )
+        printer = Fingerprinter(SharedRandomness(12).stream("fresh"), 16)
+        with pytest.raises(TypeError):
+            printer.value_of(frozenset({1.0, 2}))
+
+
+int_members = st.one_of(
+    st.integers(0, 300), st.integers(0, 2**64), st.integers(0, LAST_FAST_INT),
+    st.booleans(),
+)
+
+
+class TestIntSetFastPath:
+    """The one-pass int-set path against the element-by-element path."""
+
+    @given(st.frozensets(int_members, max_size=40))
+    def test_matches_the_general_path(self, value):
+        fast = _int_set_bytes(value)
+        assert fast is not None
+        assert fast == _general_set_bytes(value) == canonical_bytes(value)
+        assert canonical_bytes(set(value)) == fast
+
+    @given(
+        st.frozensets(
+            st.one_of(
+                int_members,
+                st.text(max_size=4),
+                st.tuples(st.integers(0, 9), st.text(max_size=2)),
+            ),
+            max_size=12,
+        )
+    )
+    def test_mixed_sets_take_the_general_path(self, value):
+        if any(type(member) not in (int, bool) for member in value):
+            assert _int_set_bytes(value) is None
+        assert canonical_bytes(value) == _general_set_bytes(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            frozenset(),
+            frozenset({0}),
+            frozenset({False}),
+            frozenset({True}),
+            frozenset({False, True}),
+            frozenset({0, True, 2}),
+            frozenset({255, 256, 65535, 65536}),
+            frozenset({LAST_FAST_INT}),
+            frozenset({0, 1, LAST_FAST_INT - 1, LAST_FAST_INT}),
+            frozenset(range(300)),
+        ],
+    )
+    def test_pinned_fast_sets(self, value):
+        assert _int_set_bytes(value) == _general_set_bytes(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            frozenset({2**1016}),
+            frozenset({0, 2**1016}),
+            frozenset({LAST_FAST_INT, 2**1016}),
+            frozenset({1, "1"}),
+            frozenset({1, (2, 3)}),
+            frozenset({"a", (1,), 5}),
+            frozenset({1, frozenset({2})}),
+        ],
+    )
+    def test_pinned_general_sets(self, value):
+        assert _int_set_bytes(value) is None
+        assert canonical_bytes(value) == _general_set_bytes(value)
+
+    def test_one_byte_headers_end_at_the_limit(self):
+        assert canonical_bytes(LAST_FAST_INT)[:2] == b"I\x7f"
+        assert canonical_bytes(2**1016)[:3] == b"I\x80\x01"
+        # Past one-byte headers byte order leaves int order: 256 payload
+        # bytes sort below 255, so the set's bytes list the larger first.
+        small, large = 2**2032, 2**2040
+        assert canonical_bytes(frozenset({small, large})).endswith(
+            canonical_bytes(large) + canonical_bytes(small)
+        )
+
+    @pytest.mark.parametrize(
+        "value",
+        [frozenset({-1}), frozenset({0, -5, 7}), frozenset({-1, 2**1016})],
+    )
+    def test_negative_member_rejected_on_both_paths(self, value):
+        with pytest.raises(ValueError):
+            _int_set_bytes(value)
+        with pytest.raises(ValueError):
+            _general_set_bytes(value)
+        with pytest.raises(ValueError):
+            canonical_bytes(value)
+
+
+class TestSerializedParts:
+    def test_tuple_framing_matches_canonical_bytes(self):
+        for value in [(), (1,), (1, "a", (2, 3), frozenset({4, 5}))]:
+            parts = [canonical_bytes(item) for item in value]
+            assert canonical_tuple_bytes(parts) == canonical_bytes(value)
+
+    @pytest.mark.parametrize("caches", ["on", "off"])
+    def test_value_of_serialized_matches_value_of(self, caches):
+        values = [0, "x", (1, 2), frozenset(range(10)), [3, 4]]
+        with hotcache.disabled() if caches == "off" else contextlib.nullcontext():
+            printer = Fingerprinter(SharedRandomness(13).stream("f"), width=40)
+            for value in values:
+                assert printer.value_of_serialized(
+                    canonical_bytes(value)
+                ) == printer.value_of(value)
 
 
 class TestFingerprinter:

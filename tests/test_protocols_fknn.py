@@ -6,7 +6,9 @@ import random
 import pytest
 
 from repro.comm.errors import ProtocolAborted
-from repro.protocols.fknn import AmortizedEqualityProtocol
+from repro.protocols.fingerprint import Fingerprinter, canonical_bytes
+from repro.protocols.fknn import AmortizedEqualityProtocol, _print_of
+from repro.util.rng import SharedRandomness
 
 
 def make_eq_instance(rng, k, unequal_fraction):
@@ -71,6 +73,16 @@ class TestCorrectness:
         protocol = AmortizedEqualityProtocol(3)
         with pytest.raises(ValueError):
             protocol.run([1, 2], [1, 2, 3], seed=0)
+
+    def test_group_prints_from_parts_match_value_of(self):
+        # Each instance is serialized once per call; a group's print must
+        # equal the print of the group's (idx, value) tuple.
+        values = [7, "text", (1, 2), frozenset({3, 4}), 2**70, True]
+        encoded = [canonical_bytes((idx, v)) for idx, v in enumerate(values)]
+        printer = Fingerprinter(SharedRandomness(3).stream("g"), width=24)
+        for group in ([], [0], [1, 3], list(range(len(values)))):
+            expected = printer.value_of(tuple((idx, values[idx]) for idx in group))
+            assert _print_of(printer, encoded, group) == expected
 
 
 class TestCost:

@@ -25,13 +25,13 @@ TRIAL_CACHES = [
     "core.tree_protocol.leaf_plans",
     "core.tree_protocol.node_union",
     "hashing.pairwise.sample",
-    "protocols.fingerprint.canonical_bytes",
     "protocols.fingerprint.salt",
     "protocols.fingerprint.value",
     "protocols.fingerprint.value_of",
     "util.rng.derive_seed",
 ]
 PROCESS_CACHES = [
+    "core.tree_protocol.level_spans",
     "hashing.families.collision_free_range",
     "hashing.pairwise.modulus",
     "hashing.primes.is_prime",
