@@ -17,7 +17,11 @@ from typing import FrozenSet, Iterable, Optional
 from repro.core.amplify import AmplifiedIntersection
 from repro.core.private_model import PrivateCoinIntersection
 from repro.core.tradeoff import optimal_rounds, select_protocol
-from repro.protocols.base import IntersectionOutcome, validate_set_pair
+from repro.protocols.base import (
+    IntersectionOutcome,
+    as_input_set,
+    validate_set_pair,
+)
 
 __all__ = ["IntersectionResult", "compute_intersection"]
 
@@ -78,8 +82,8 @@ def compute_intersection(
         pointlessly but allowed).
     :param seed: replay seed for all randomness.
     """
-    s = frozenset(alice_set)
-    t = frozenset(bob_set)
+    s = as_input_set("alice", alice_set)
+    t = as_input_set("bob", bob_set)
     if universe_size is None:
         largest = max(list(s) + list(t) + [1])
         universe_size = 1 << (largest.bit_length() + 1)

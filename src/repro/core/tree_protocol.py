@@ -45,13 +45,21 @@ abandon the run at a stage boundary once it exceeds the budget, outputting
 
 from __future__ import annotations
 
+import random
 from functools import cached_property, lru_cache
+from itertools import compress
+from operator import add
 from typing import Dict, FrozenSet, Generator, List, Optional, Tuple
 
 from repro.comm.engine import PartyContext, Recv, Send
 from repro.core.verification_tree import VerificationTree
 from repro.obs.state import STATE as _OBS
-from repro.hashing.pairwise import _draw_params, sample_pairwise_hash
+from repro.hashing.pairwise import (
+    _draw_coins,
+    _modulus_for,
+    _reseed,
+    sample_pairwise_hash,
+)
 from repro.kernels import affine_image_segments, sort_ints
 from repro.protocols.base import SetIntersectionProtocol
 from repro.protocols.basic_intersection import range_for_inverse_failure
@@ -96,21 +104,30 @@ def _leaf_plans_impl(
 
     Each leaf's parameters are the ones ``sample_pairwise_hash`` draws from
     the leaf's shared stream ``{prefix}/tree/bi/s{stage}/u{leaf}``, drawn
-    without building the stream or a ``PairwiseHash``.  The seed derivation
-    bypasses its trial cache: every label here is new, and this unit is
-    cached as a whole.
+    without building the stream or a ``PairwiseHash``: one twister, local
+    to this call, is re-seeded with each leaf's derived seed and drawn by
+    ``hashing.pairwise._draw_coins``.  A leaf's range, prime and width
+    depend on its total alone, so they are computed once per distinct
+    total.  The seed derivation bypasses its trial cache: every label here
+    is new, and this unit is cached as a whole.
     """
     seed, prefix = shared_key
     label_fmt = f"{prefix}/tree/bi/s{stage}/u{{}}" if prefix else f"tree/bi/s{stage}/u{{}}"
+    twister = random.Random(0)  # re-seeded before every draw
+    getrandbits = twister.getrandbits
+    shapes: Dict[int, Tuple[int, int, int]] = {}
     plans = []
     for leaf, total in leaf_totals:
-        range_size = range_for_inverse_failure(total, inverse_failure)
-        mult, shift, prime = _draw_params(
-            _derive_seed_impl(seed, label_fmt.format(leaf)),
-            universe_size,
-            range_size,
-        )
-        plans.append((mult, shift, prime, range_size, ceil_log2(range_size)))
+        shape = shapes.get(total)
+        if shape is None:
+            range_size = range_for_inverse_failure(total, inverse_failure)
+            shape = shapes[total] = (
+                _modulus_for(universe_size, range_size),
+                range_size,
+                ceil_log2(range_size),
+            )
+        _reseed(twister, _derive_seed_impl(seed, label_fmt.format(leaf)))
+        plans.append(_draw_coins(getrandbits, shape[0]) + shape)
     return tuple(plans)
 
 
@@ -445,28 +462,36 @@ class TreeProtocol(SetIntersectionProtocol):
             inverse_failure = self._stage_failure_inverse(stage)
             eq_width = equality_error_exponent(inverse_failure)
             spans = self._level_spans[stage]
+            # A level's nodes partition the leaves in order, so a level of
+            # num_leaves nodes is the leaves themselves (all of level 0).
+            leaf_level = len(spans) == num_leaves
             stage_start_bits = bits_seen
 
             # 1-2: equality sweep over level `stage`.
             printer = Fingerprinter(
                 ctx.shared.stream(f"tree/eq/s{stage}"), eq_width
             )
-            # Single-leaf nodes (all of level 0) fingerprint their bucket
-            # directly; real unions go through the node-union cache, so a
-            # replayed stage costs one lookup per node instead of
-            # rebuilding every induced assignment.  The fingerprints
+            # Single-leaf nodes fingerprint their bucket directly (the leaf
+            # level in one copy); real unions go through the node-union
+            # cache, so a replayed stage costs one lookup per node instead
+            # of rebuilding every induced assignment.  The fingerprints
             # themselves go through one bulk sweep (node values are
             # frozensets, always hashable).
-            union = _node_union_cached if hotcache.enabled() else _node_union_impl
-            prints = yield FingerprintSweepRequest(
-                printer,
-                tuple(
-                    assignment[start]
-                    if end - start == 1
-                    else union(tuple(assignment[start:end]))
-                    for start, end in spans
-                ),
-            )
+            if leaf_level:
+                values = tuple(assignment)
+            else:
+                union = (
+                    _node_union_cached if hotcache.enabled() else _node_union_impl
+                )
+                values = tuple(
+                    [
+                        assignment[start]
+                        if end - start == 1
+                        else union(tuple(assignment[start:end]))
+                        for start, end in spans
+                    ]
+                )
+            prints = yield FingerprintSweepRequest(printer, values)
             if is_alice:
                 # All of this level's fingerprints assemble into one shared
                 # writer -- a single bulk run, not a BitString concat chain.
@@ -494,15 +519,20 @@ class TreeProtocol(SetIntersectionProtocol):
                 yield Send(reply)
 
             equality_bits = bits_seen - stage_start_bits
-            failed_nodes = sum(1 for verdict in verdicts if not verdict)
-            # A level's nodes partition the leaves in increasing order, so
-            # concatenating failed nodes' ranges is already sorted+unique.
-            failed_leaves: List[int] = [
-                leaf
-                for (start, end), verdict in zip(spans, verdicts)
-                if not verdict
-                for leaf in range(start, end)
-            ]
+            failed_nodes = verdicts.count(0)
+            # Concatenating failed nodes' leaf ranges in node order is
+            # already sorted and unique.
+            if leaf_level:
+                failed_leaves: List[int] = [
+                    leaf for leaf, verdict in enumerate(verdicts) if not verdict
+                ]
+            else:
+                failed_leaves = [
+                    leaf
+                    for (start, end), verdict in zip(spans, verdicts)
+                    if not verdict
+                    for leaf in range(start, end)
+                ]
 
             def record_stage() -> None:
                 if is_alice and self.stage_stats_sink is not None:
@@ -544,10 +574,9 @@ class TreeProtocol(SetIntersectionProtocol):
 
             # 3-4: exchange per-leaf sizes for the failed leaves (one bulk
             # gamma run: hundreds of tiny codes, one shared message).
+            own_sizes = [len(assignment[leaf]) for leaf in failed_leaves]
             writer = BitWriter()
-            writer.write_gamma_run(
-                [len(assignment[leaf]) for leaf in failed_leaves]
-            )
+            writer.write_gamma_run(own_sizes)
             size_payload = writer.finish()
             if is_alice:
                 bits_seen += len(size_payload)
@@ -567,10 +596,6 @@ class TreeProtocol(SetIntersectionProtocol):
             # Lemma 3.3 hash with range m^2 * (log^(r-stage-1) k)^4.  The
             # whole stage's plan is one (cached) derivation; see
             # _leaf_plans_impl.
-            leaf_totals = tuple(
-                (leaf, len(assignment[leaf]) + other_size)
-                for leaf, other_size in zip(failed_leaves, other_sizes)
-            )
             plan_fn = (
                 _leaf_plans_cached if hotcache.enabled() else _leaf_plans_impl
             )
@@ -579,36 +604,27 @@ class TreeProtocol(SetIntersectionProtocol):
                 stage,
                 self.universe_size,
                 inverse_failure,
-                leaf_totals,
+                tuple(zip(failed_leaves, map(add, own_sizes, other_sizes))),
             )
 
-            # 5-6: exchange the sorted hash lists -- every failed leaf's
-            # run appended to the same shared writer in bulk.  Each element
-            # is hashed exactly once, all leaves in one pooled sweep; the
-            # (image, element) pairs feed both the outgoing sorted list and
-            # the post-exchange filter.
-            leaf_elements = [list(assignment[leaf]) for leaf in failed_leaves]
+            # 5-6: exchange the sorted hash lists.  Each leaf's candidates
+            # are hashed once, every leaf in one pooled sweep (in the
+            # frozenset's iteration order, which the filter below walks
+            # again); every leaf's sorted run then packs into one message,
+            # and the peer's message decodes in one read.
             image_runs = yield AffineSweepRequest(
                 tuple(
-                    (xs, mult, shift, prime, range_size)
-                    for xs, (mult, shift, prime, range_size, _) in zip(
-                        leaf_elements, plans
-                    )
+                    [
+                        (assignment[leaf], mult, shift, prime, range_size)
+                        for leaf, (mult, shift, prime, range_size, _) in zip(
+                            failed_leaves, plans
+                        )
+                    ]
                 )
             )
-            leaf_images: List[list] = []
+            widths = [plan[4] for plan in plans]
             writer = BitWriter()
-            for xs, run_images, plan in zip(leaf_elements, image_runs, plans):
-                width = plan[4]
-                images = list(zip(run_images, xs))
-                leaf_images.append(images)
-                if len(images) > 1:
-                    run = sorted(run_images)
-                else:
-                    # Most failed leaves carry 0 or 1 candidates by the
-                    # later stages; skip the generator + sort machinery.
-                    run = [run_images[0]] if images else []
-                writer.write_run(run, width)
+            writer.write_runs(list(map(sorted, image_runs)), widths)
             hash_payload = writer.finish()
             if is_alice:
                 bits_seen += len(hash_payload)
@@ -621,33 +637,25 @@ class TreeProtocol(SetIntersectionProtocol):
                 bits_seen += len(hash_payload)
                 yield Send(hash_payload)
             reader = BitReader(other_payload)
-            for leaf, other_size, plan, images in zip(
-                failed_leaves, other_sizes, plans, leaf_images
-            ):
-                width = plan[4]
-                # Empty intersections dominate the later stages: when
-                # either side has nothing, the survivor set is empty, but
-                # the peer's run bits must still be consumed exactly.
-                if other_size == 0 or not images:
-                    if other_size:
-                        reader.read_uint(other_size * width)
-                    assignment[leaf] = _EMPTY_SET
-                    continue
-                other_values = reader.read_run(other_size, width)
-                if len(images) == 1:
-                    image, x = images[0]
-                    assignment[leaf] = (
-                        frozenset((x,)) if image in other_values else _EMPTY_SET
-                    )
-                    continue
-                other_set = set(other_values)
-                assignment[leaf] = frozenset(
-                    x for image, x in images if image in other_set
-                )
+            other_runs = reader.read_runs(other_sizes, widths)
             reader.expect_exhausted()
+            for leaf, images, other in zip(failed_leaves, image_runs, other_runs):
+                # Empty intersections dominate the later stages: when
+                # either side has nothing, the survivor set is empty.
+                if not images or not other:
+                    assignment[leaf] = _EMPTY_SET
+                elif len(images) == 1:
+                    # A lone candidate keeps its set when it survives.
+                    if images[0] not in other:
+                        assignment[leaf] = _EMPTY_SET
+                else:
+                    other_set = set(other)
+                    assignment[leaf] = frozenset(
+                        compress(assignment[leaf], map(other_set.__contains__, images))
+                    )
             record_stage()
 
-        return frozenset(x for candidate in assignment for x in candidate)
+        return _EMPTY_SET.union(*assignment)
 
     # -- coroutines -----------------------------------------------------------
 

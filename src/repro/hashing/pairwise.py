@@ -100,23 +100,6 @@ class PairwiseHash:
             elements, self.mult, self.shift, self.prime, self.range_size
         )
 
-    def image_pairs(self, elements: Iterable[int]) -> List[tuple]:
-        """``[(h(x), x)]`` -- the bulk path under the tree protocol's
-        per-leaf hash exchanges, which evaluate a fresh function on every
-        element of every failed leaf.  Skips the per-element range check --
-        callers pass sets they already validated against the universe.
-        Images come from the same batch kernel as :meth:`images`.
-        """
-        xs = elements if isinstance(elements, list) else list(elements)
-        return list(
-            zip(
-                affine_image_batch(
-                    xs, self.mult, self.shift, self.prime, self.range_size
-                ),
-                xs,
-            )
-        )
-
     @property
     def output_bits(self) -> int:
         """Wire width of one hash value: ``ceil_log2(range_size)`` bits."""
@@ -165,31 +148,41 @@ def _modulus_for(universe_size: int, range_size: int) -> int:
     return _modulus_impl(universe_size, range_size)
 
 
-def _draw_coins(rng: _random.Random, prime: int) -> Tuple[int, int]:
-    """``(mult, shift)`` drawn from ``rng`` in :func:`sample_pairwise_hash`'s
-    order (``uint_below`` is ``randrange`` on the stream's twister)."""
-    return 1 + rng.randrange(prime - 1), rng.randrange(prime)
+#: The C-level ``seed`` of ``random.Random``'s base class.  Re-seeding a
+#: twister through it with an int builds the very state
+#: ``random.Random(seed)`` starts from: the Python-level ``seed`` only adds
+#: type checks and a ``gauss`` reset, which ``getrandbits`` never reads.
+_reseed = _random.Random.__base__.seed
 
 
-def _draw_params(
-    derived_seed: int, universe_size: int, range_size: int
-) -> Tuple[int, int, int]:
-    """``(mult, shift, prime)`` exactly as :func:`sample_pairwise_hash`
-    draws them from a fresh stream whose derived seed is ``derived_seed``.
+def _draw_coins(getrandbits, prime: int) -> Tuple[int, int]:
+    """``(mult, shift)`` in :func:`sample_pairwise_hash`'s order, drawn
+    through a twister's ``getrandbits``.
 
-    Callers that only need the parameters (the tree protocol's per-leaf
-    plans) call this directly and skip the stream and
-    :class:`PairwiseHash` objects.
+    The stream draws ``1 + randrange(prime - 1)``, then ``randrange(prime)``
+    (``uint_below`` is ``randrange``).  For a positive bound ``n``, CPython
+    3.9-3.13 ``randrange(n)`` is ``_randbelow_with_getrandbits(n)``: draw
+    ``n.bit_length()`` bits until the value falls below ``n``.  This is
+    that rejection loop, so it consumes the same words and returns the
+    same values.
     """
-    prime = _modulus_for(universe_size, range_size)
-    mult, shift = _draw_coins(_random.Random(derived_seed), prime)
-    return mult, shift, prime
+    below = prime - 1
+    bits = below.bit_length()
+    mult = getrandbits(bits)
+    while mult >= below:
+        mult = getrandbits(bits)
+    bits = prime.bit_length()
+    shift = getrandbits(bits)
+    while shift >= prime:
+        shift = getrandbits(bits)
+    return 1 + mult, shift
 
 
 def _sample_impl(
     derived_seed: int, universe_size: int, range_size: int
 ) -> PairwiseHash:
-    mult, shift, prime = _draw_params(derived_seed, universe_size, range_size)
+    prime = _modulus_for(universe_size, range_size)
+    mult, shift = _draw_coins(_random.Random(derived_seed).getrandbits, prime)
     return PairwiseHash(
         universe_size=universe_size,
         range_size=range_size,
@@ -233,7 +226,7 @@ def sample_pairwise_hash(
     if hotcache.enabled() and stream.untouched:
         sampled = _sample_cached(stream.derived_seed, universe_size, range_size)
         prime = sampled.prime
-        stream.skip_draws(lambda rng: _draw_coins(rng, prime))
+        stream.skip_draws(lambda rng: _draw_coins(rng.getrandbits, prime))
         return sampled
     prime = _modulus_for(universe_size, range_size)
     mult = 1 + stream.uint_below(prime - 1)

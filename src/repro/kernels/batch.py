@@ -242,7 +242,7 @@ def affine_image_batch(
     bit identical to the per-key scalar evaluation regardless of backend.
     No per-key range validation -- callers pass sets already validated
     against the universe, exactly like
-    :meth:`repro.hashing.pairwise.PairwiseHash.image_pairs`.
+    :meth:`repro.hashing.pairwise.PairwiseHash.images`.
     """
     xs = elements if isinstance(elements, list) else list(elements)
     np = numpy_or_none()
@@ -335,76 +335,72 @@ def affine_image_segments(segments) -> List[List[int]]:
     the lane path only when its whole affine form is provably overflow-free
     (``mult * max(x) + shift < 2**64`` with moduli below ``2**64``); any
     other segment -- huge parameters, negative or over-wide keys, numpy
-    absent or suppressed -- is evaluated by the exact scalar twin.  Output
-    order always matches input order, bit for bit identical either way.
+    absent or suppressed -- is evaluated inline with the exact scalar
+    twin's expression.  Output order always matches input order, bit for
+    bit identical either way.
     """
-    segs = [
-        (
-            elements if isinstance(elements, list) else list(elements),
-            mult,
-            shift,
-            prime,
-            range_size,
-        )
-        for elements, mult, shift, prime, range_size in segments
-    ]
     np = numpy_or_none()
-    # One position list per exactness route; each non-empty route costs one
-    # vectorized pass over its pooled lanes.  Routes mirror _affine_lanes:
-    # "direct" (whole affine form overflow-free), "split16" (limb-
-    # decomposed multiplier, the word-sized-universe pairwise-hash case),
-    # "m61" (Mersenne mulmod).  Proofs are per segment, in exact Python
-    # arithmetic, before any lane math runs; min/max and the pooled
+    out: List[Optional[List[int]]] = []
+    # A segment that cannot ride lanes (numpy absent, fewer keys than
+    # SEGMENT_MIN_LANES, a modulus past 64 bits) is evaluated right here,
+    # in this one loop over all segments; the rest are lane candidates,
+    # which fall back to the same expression when no route takes them.
+    # One position list per exactness route; each non-empty route costs
+    # one vectorized pass over its pooled lanes.  Routes mirror
+    # _affine_lanes: "direct" (whole affine form overflow-free), "split16"
+    # (limb-decomposed multiplier, the word-sized-universe pairwise-hash
+    # case), "m61" (Mersenne mulmod).  Proofs are per segment, in exact
+    # Python arithmetic, before any lane math runs; min/max and the pooled
     # uint64 conversion are the only per-key passes, so planning stays
     # cheap even for many tiny segments (the coalescing-server shape).
+    segs: Dict[int, tuple] = {}
     plans: Dict[str, List[int]] = {"direct": [], "split16": [], "m61": []}
-    if np is not None:
-        for position, (xs, mult, shift, prime, range_size) in enumerate(segs):
-            if (
-                len(xs) < SEGMENT_MIN_LANES
-                or prime >= _LANE_LIMIT
-                or range_size >= _LANE_LIMIT
-            ):
-                continue
-            try:
-                min_x = min(xs)
-                max_x = max(xs)
-            except TypeError:
-                continue
-            if min_x < 0 or max_x >= _LANE_LIMIT:
-                continue
-            if mult * max_x + shift < _LANE_LIMIT:
-                plans["direct"].append(position)
-            elif (
-                max_x < (1 << 48)
-                and (mult >> 16) * (prime - 1)
-                + (mult & 0xFFFF) * max_x
-                + shift
-                < _LANE_LIMIT
-            ):
-                plans["split16"].append(position)
-            elif prime == M61 and mult < M61 and shift < M61 and max_x < M61:
-                plans["m61"].append(position)
-    total_lanes = sum(
-        len(segs[p][0]) for plan in plans.values() for p in plan
-    )
-    out: List[Optional[List[int]]] = [None] * len(segs)
+    total_lanes = 0
+    for position, (xs, mult, shift, prime, range_size) in enumerate(segments):
+        if not hasattr(xs, "__len__"):
+            xs = list(xs)
+        if (
+            np is None
+            or len(xs) < SEGMENT_MIN_LANES
+            or prime >= _LANE_LIMIT
+            or range_size >= _LANE_LIMIT
+        ):
+            out.append([(mult * x + shift) % prime % range_size for x in xs])
+            continue
+        if type(xs) is not list:
+            xs = list(xs)
+        segs[position] = (xs, mult, shift, prime, range_size)
+        out.append(None)
+        try:
+            min_x = min(xs)
+            max_x = max(xs)
+        except TypeError:
+            continue
+        if min_x < 0 or max_x >= _LANE_LIMIT:
+            continue
+        if mult * max_x + shift < _LANE_LIMIT:
+            plans["direct"].append(position)
+        elif (
+            max_x < (1 << 48)
+            and (mult >> 16) * (prime - 1) + (mult & 0xFFFF) * max_x + shift
+            < _LANE_LIMIT
+        ):
+            plans["split16"].append(position)
+        elif prime == M61 and mult < M61 and shift < M61 and max_x < M61:
+            plans["m61"].append(position)
+        else:
+            continue
+        total_lanes += len(xs)
+    used_numpy = False
     if total_lanes >= MIN_LANES:
-        used_numpy = False
         for route, plan in plans.items():
             if plan and _segments_route(np, segs, plan, route, out):
                 used_numpy = True
-        if _OBS.active:
-            note_route(
-                "affine_image_segments", "numpy" if used_numpy else "scalar"
-            )
-    elif _OBS.active and segs:
-        note_route("affine_image_segments", "scalar")
-    for position, (xs, mult, shift, prime, range_size) in enumerate(segs):
+    if _OBS.active and out:
+        note_route("affine_image_segments", "numpy" if used_numpy else "scalar")
+    for position, (xs, mult, shift, prime, range_size) in segs.items():
         if out[position] is None:
-            out[position] = affine_image_batch_scalar(
-                xs, mult, shift, prime, range_size
-            )
+            out[position] = [(mult * x + shift) % prime % range_size for x in xs]
     return out
 
 

@@ -30,6 +30,7 @@ The main result (the verification-tree protocol of Theorem 1.1) lives in
 
 from repro.protocols.base import (
     IntersectionOutcome,
+    InvalidInput,
     SetIntersectionProtocol,
     validate_set_pair,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "IntersectionOutcome",
     "SetIntersectionProtocol",
     "validate_set_pair",
+    "InvalidInput",
     "BasicIntersectionProtocol",
     "BucketVerifyProtocol",
     "DisjointnessViaIntersection",

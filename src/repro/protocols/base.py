@@ -22,6 +22,8 @@ from repro.comm.transcript import Transcript
 from repro.obs.state import STATE as _OBS
 
 __all__ = [
+    "InvalidInput",
+    "as_input_set",
     "validate_set",
     "validate_set_pair",
     "IntersectionOutcome",
@@ -30,12 +32,38 @@ __all__ = [
 ]
 
 
+class InvalidInput(ValueError):
+    """A party's input is not a valid ``INT_k`` set: too many members, a
+    member outside ``[n]``, a member that is not an int, or an unhashable
+    member.
+
+    A ``ValueError``, so callers that catch those keep working; never a
+    :class:`~repro.comm.errors.ProtocolError`, so attempt loops let it
+    escape instead of retrying.  The serve layer answers exactly this type
+    with a typed ``invalid-input`` reply: any other ``ValueError`` or
+    ``TypeError`` is a code bug, not the client's fault.
+    """
+
+
+def as_input_set(name: str, raw: Iterable[int]) -> FrozenSet:
+    """``raw`` as a frozenset (a frozenset passes through by reference);
+    :class:`InvalidInput` when it cannot be one (an unhashable member, or
+    not iterable at all)."""
+    if isinstance(raw, frozenset):
+        return raw
+    try:
+        return frozenset(raw)
+    except TypeError as exc:
+        raise InvalidInput(f"{name}'s set is not a set of ints: {exc}") from None
+
+
 def validate_set(
     name: str, raw: Iterable[int], universe_size: int, max_set_size: int
 ) -> FrozenSet[int]:
     """Validate and freeze one party's input: a subset of ``[n]`` with at
     most ``k`` members (bools pass, being ints).  ``name`` labels errors,
-    which are caller bugs, not protocol failures.
+    which are caller bugs, not protocol failures; every input fault raises
+    :class:`InvalidInput`.
 
     A frozenset is passed through by reference (no re-freeze copy) and
     range-checked via ``min``/``max`` instead of a per-element
@@ -44,9 +72,9 @@ def validate_set(
     slow per-element path only runs to produce a precise error message
     once the cheap checks have already failed.
     """
-    as_set = raw if isinstance(raw, frozenset) else frozenset(raw)
+    as_set = as_input_set(name, raw)
     if len(as_set) > max_set_size:
-        raise ValueError(
+        raise InvalidInput(
             f"{name}'s set has {len(as_set)} elements; bound is k={max_set_size}"
         )
     if as_set:
@@ -69,7 +97,7 @@ def validate_set(
                     not isinstance(element, int)
                     or not 0 <= element < universe_size
                 ):
-                    raise ValueError(
+                    raise InvalidInput(
                         f"{name}'s element {element!r} outside universe "
                         f"[0, {universe_size})"
                     )

@@ -71,6 +71,11 @@ _INT_TYPES = frozenset((int, bool))
 _ONE_BYTE_HEADER_LIMIT = 1 << 1016
 #: ``b"I"`` plus the one-byte length header, by payload length.
 _INT_HEADERS = tuple(b"I" + bytes((length,)) for length in range(128))
+#: A one-member set's frame and its member's header, by payload length.
+_SINGLETON_HEADERS = tuple(
+    b"F\x01" + _encode_length(length + 2) + _INT_HEADERS[length]
+    for length in range(128)
+)
 
 
 def _int_set_bytes(value) -> Optional[bytes]:
@@ -84,14 +89,26 @@ def _int_set_bytes(value) -> Optional[bytes]:
     sorting the ints sorts their serializations.  Past ``2**1016`` the
     header grows to two bytes, and at 256 payload bytes byte order stops
     matching int order, so those sets take :func:`_general_set_bytes`.
+    Empty sets and singletons (most of the tree protocol's leaf buckets)
+    skip the sort and the join.
 
     :raises ValueError: on a negative member, like the general path.
     """
+    if len(value) == 1:
+        (x,) = value
+        if type(x) is not int and type(x) is not bool:
+            return None
+        if x < 0:
+            raise ValueError(f"canonical_bytes only covers nonnegative ints: {x}")
+        if x >= _ONE_BYTE_HEADER_LIMIT:
+            return None
+        size = (x.bit_length() + 7) >> 3 or 1
+        return _SINGLETON_HEADERS[size] + x.to_bytes(size, "big")
+    if not value:
+        return b"F\x00\x00"
     if not _INT_TYPES.issuperset(map(type, value)):
         return None
     members = sorted(value)
-    if not members:
-        return b"F\x00\x00"
     if members[0] < 0:
         raise ValueError(
             f"canonical_bytes only covers nonnegative ints: {members[0]}"
@@ -177,6 +194,10 @@ def _replay_salt_draw(rng: random.Random) -> None:
     rng.getrandbits(256)
 
 
+#: The 4-byte counter of a print's first SHA-256 block.
+_COUNTER_0 = (0).to_bytes(4, "big")
+
+
 def _fingerprint_impl(salt: bytes, width: int, data: bytes) -> int:
     digest_input = salt + data
     needed_bytes = (width + 7) // 8
@@ -199,7 +220,18 @@ _fingerprint_cached = hotcache.register(
 
 
 def _fingerprint_of_impl(salt: bytes, width: int, value: Any) -> int:
-    return _fingerprint_impl(salt, width, canonical_bytes(value))
+    """``_fingerprint_impl(salt, width, canonical_bytes(value))``, the
+    print-cache miss path.  A frozenset (every tree node value) goes
+    straight to :func:`_int_set_bytes`, and a print of at most 256 bits is
+    the counter-0 block's leading bits, one SHA-256 call."""
+    if type(value) is frozenset:
+        data = _int_set_bytes(value) or _general_set_bytes(value)
+    else:
+        data = canonical_bytes(value)
+    if width > 256:
+        return _fingerprint_impl(salt, width, data)
+    digest = hashlib.sha256(salt + data + _COUNTER_0).digest()
+    return int.from_bytes(digest[: (width + 7) >> 3], "big") >> (-width & 7)
 
 
 # Value-keyed variant: one cache lookup per fingerprint instead of

@@ -37,6 +37,7 @@ dispatches it costs.
 from __future__ import annotations
 
 import asyncio
+import logging
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -48,7 +49,7 @@ from repro.kernels import affine_image_segments
 from repro.obs import metrics as _metrics
 from repro.obs.state import STATE as _OBS
 from repro.core.tree_protocol import TreeProtocol
-from repro.protocols.base import validate_set_pair
+from repro.protocols.base import InvalidInput, validate_set_pair
 from repro.serve.barrier import (
     TreeBatchStats,
     tree_batch_results,
@@ -69,6 +70,8 @@ __all__ = [
     "one_round_batch_results",
     "run_scalar_operation",
 ]
+
+_LOG = logging.getLogger(__name__)
 
 #: The operation kinds a session serves (the wire ``op`` values).
 OP_KINDS = ("intersect", "size", "jaccard", "contains-any")
@@ -262,7 +265,7 @@ def run_scalar_operation(entry: ServedSession, kind: str, alice_set, bob_set):
             value = session.contains_any(alice_set, bob_set)
         else:
             raise ServeError("bad-request", f"unknown operation kind {kind!r}")
-    except (TypeError, ValueError) as exc:
+    except InvalidInput as exc:
         raise ServeError("invalid-input", str(exc)) from None
     return value, session.stats().history[-1]
 
@@ -277,6 +280,8 @@ class PendingOp:
     bob_set: Any
     future: "asyncio.Future"
     request_id: Optional[int] = None
+    #: Set once the coalescer has answered (or failed) the op.
+    answered: bool = False
 
 
 @dataclass
@@ -393,6 +398,7 @@ class BatchCoalescer:
     def _finish(
         self, op: PendingOp, *, error: Optional[Exception] = None, value=None
     ) -> None:
+        op.answered = True
         self._pending -= 1
         op.entry.pending -= 1
         if op.future.cancelled():
@@ -416,7 +422,19 @@ class BatchCoalescer:
                     batch.append(self._queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
-            self._execute(batch)
+            try:
+                self._execute(batch)
+            except Exception as exc:
+                # A code error, not a typed ServeError: every read op is
+                # still owed an answer, so the tick's unanswered ops fail
+                # with it (the server replies "internal error") and the
+                # drain goes on with the next tick.
+                _LOG.error(
+                    "coalescer tick of %d ops failed", len(batch), exc_info=True
+                )
+                for op in batch:
+                    if not op.answered:
+                        self._finish(op, error=exc)
 
     # -- execution (synchronous: one tick's work) ---------------------------
 
@@ -481,7 +499,7 @@ class BatchCoalescer:
                     session.universe_size,
                     session.max_set_size,
                 )
-            except (TypeError, ValueError) as exc:
+            except InvalidInput as exc:
                 self._finish(op, error=ServeError("invalid-input", str(exc)))
                 continue
             next_index[key] = index + 1
@@ -578,7 +596,7 @@ class BatchCoalescer:
                         session.universe_size,
                         session.max_set_size,
                     )
-                except (TypeError, ValueError) as exc:
+                except InvalidInput as exc:
                     self._finish(op, error=ServeError("invalid-input", str(exc)))
                     continue
                 next_index[key] = index + 1

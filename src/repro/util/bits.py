@@ -302,6 +302,42 @@ class BitWriter:
                 acc = (acc << width) | value
             self.write_uint(acc, width * len(chunk))
 
+    def write_runs(self, runs: Sequence[Sequence[int]], widths: Sequence[int]) -> None:
+        """Write many fixed-width runs back to back, run ``i`` at
+        ``widths[i]`` bits per value.
+
+        Bit-identical to ``for run, width in zip(runs, widths):
+        write_run(run, width)``, but short runs share one packing pass:
+        their values join one accumulator that reaches the buffer every
+        ``~_RUN_CHUNK_BITS`` bits, so a message of many tiny runs (the tree
+        protocol's per-leaf hash lists) costs no call per run.  Every value
+        is range-checked before it is packed; a run longer than one group
+        goes through :meth:`write_run`.
+        """
+        acc = 0
+        nbits = 0
+        for run, width in zip(runs, widths):
+            bits = len(run) * width
+            if bits > _RUN_CHUNK_BITS:
+                if nbits:
+                    self.write_uint(acc, nbits)
+                    acc = 0
+                    nbits = 0
+                self.write_run(run, width)
+                continue
+            limit = 1 << width  # a negative width raises ValueError here
+            for value in run:
+                if not 0 <= value < limit:
+                    raise ValueError(f"value {value} does not fit in {width} bits")
+                acc = (acc << width) | value
+            nbits += bits
+            if nbits >= _RUN_CHUNK_BITS:
+                self.write_uint(acc, nbits)
+                acc = 0
+                nbits = 0
+        if nbits:
+            self.write_uint(acc, nbits)
+
     def write_bits(self, bits: BitString) -> None:
         """Append an entire :class:`BitString` (zero-copy when aligned)."""
         length = len(bits)
@@ -461,6 +497,64 @@ class BitReader:
                 shift -= width
             remaining -= g
         return values
+
+    def read_runs(
+        self, counts: Sequence[int], widths: Sequence[int]
+    ) -> List[List[int]]:
+        """Read runs written by :meth:`BitWriter.write_runs`: run ``i`` is
+        ``counts[i]`` values of ``widths[i]`` bits.
+
+        Returns what ``[read_run(c, w) for c, w in zip(counts, widths)]``
+        would, but as one read: the whole ``sum(c * w)`` bits are checked
+        against the message up front (a short message raises
+        :class:`~repro.comm.errors.DecodeError` and consumes nothing), then
+        each short run is sliced straight off the buffer with no call per
+        run.  A run longer than one group goes through :meth:`read_run`.
+        """
+        total = 0
+        for count, width in zip(counts, widths):
+            if count < 0 or width < 0:
+                raise ValueError(
+                    f"count and width must be >= 0, got {count} and {width}"
+                )
+            total += count * width
+        pos = self._pos
+        end = pos + total
+        if end > self._length:
+            raise DecodeError(
+                f"BitReader: requested {total} bits with only "
+                f"{self._length - pos} remaining"
+            )
+        data = self._data
+        runs: List[List[int]] = []
+        append = runs.append
+        for count, width in zip(counts, widths):
+            if not count or not width:
+                append([0] * count)
+                continue
+            stop = pos + count * width
+            if stop - pos > _RUN_CHUNK_BITS:
+                self._pos = pos
+                append(self.read_run(count, width))
+                pos = stop
+                continue
+            last = (stop + 7) >> 3
+            packed = int.from_bytes(data[pos >> 3 : last], "big") >> (
+                (last << 3) - stop
+            )
+            mask = (1 << width) - 1
+            if count == 1:
+                append([packed & mask])
+            else:
+                append(
+                    [
+                        (packed >> shift) & mask
+                        for shift in range((count - 1) * width, -1, -width)
+                    ]
+                )
+            pos = stop
+        self._pos = end
+        return runs
 
     def read_bits(self, width: int) -> BitString:
         """Read ``width`` bits as a :class:`BitString`.

@@ -1,9 +1,11 @@
-"""Tests for the tree protocol's shape cache and lean leaf-hash plans.
+"""Tests for the tree protocol's shape cache, lean leaf-hash plans and
+whole-stage hash-list exchange.
 
-Both are speed-ups that must not move a coin: the cached level spans must
-equal the verification tree's levels, and every leaf plan must equal what
-the public sampler ``sample_pairwise_hash`` draws from the leaf's shared
-stream.
+All are speed-ups that must not move a coin or a bit: the cached level
+spans must equal the verification tree's levels, every leaf plan must equal
+what the public sampler ``sample_pairwise_hash`` (and ``randrange`` on the
+leaf's fresh twister) draws from the leaf's shared stream, and a hash-list
+message that is not exactly the expected length must fail to decode.
 """
 
 import contextlib
@@ -19,9 +21,12 @@ from repro.core.tree_protocol import (
 )
 from repro.core.verification_tree import VerificationTree
 from repro.hashing.pairwise import sample_pairwise_hash
+from repro.hashing.primes import next_prime
 from repro.protocols.basic_intersection import range_for_inverse_failure
 from repro.util import hotcache
-from repro.util.rng import SharedRandomness
+from repro.util.bits import BitString
+from repro.util.iterlog import ceil_log2
+from repro.util.rng import SharedRandomness, _derive_seed_impl
 
 
 @pytest.mark.parametrize("rounds", [2, 3, 4, 5])
@@ -110,3 +115,85 @@ def test_leaf_plans_draw_the_public_samplers_coins(caches):
                 assert prime == reference.prime
                 assert range_size == reference.range_size
                 assert width == reference.output_bits
+
+
+@pytest.mark.parametrize("caches", ["on", "off"])
+def test_leaf_plans_draw_randrange_on_each_leafs_fresh_twister(caches):
+    # The reference is the stream's own definition: random.Random seeded
+    # with the leaf label's derived seed, then two randrange draws.  The
+    # universes put the prime just above a power of two (65537, 2**32 + 15)
+    # so the rejection loop retries on about half of the draws.
+    rng = random.Random(21)
+    plan_fn = _leaf_plans_cached if caches == "on" else _leaf_plans_impl
+    scope = hotcache.disabled() if caches == "off" else contextlib.nullcontext()
+    with scope:
+        for _ in range(30):
+            shared = random_shared(rng)
+            seed, prefix = shared.cache_key()
+            stage = rng.randrange(4)
+            universe = rng.choice([16, 1 << 16, 1 << 32, 10**9])
+            inverse_failure = rng.choice([1.0, 16.0, 1e4])
+            leaves = sorted(rng.sample(range(500), rng.randrange(1, 40)))
+            leaf_totals = tuple((leaf, rng.randrange(4)) for leaf in leaves)
+            plans = plan_fn(
+                shared.cache_key(), stage, universe, inverse_failure, leaf_totals
+            )
+            for (leaf, total), plan in zip(leaf_totals, plans):
+                label = f"tree/bi/s{stage}/u{leaf}"
+                if prefix:
+                    label = f"{prefix}/{label}"
+                range_size = range_for_inverse_failure(total, inverse_failure)
+                prime = next_prime(max(universe, range_size, 2))
+                twister = random.Random(_derive_seed_impl(seed, label))
+                mult = 1 + twister.randrange(prime - 1)
+                shift = twister.randrange(prime)
+                assert plan == (mult, shift, prime, range_size, ceil_log2(range_size))
+
+
+def _tree_run(s, t, seed, injector=None, rounds=2):
+    from repro.comm.engine import run_two_party
+
+    protocol = TreeProtocol(1 << 20, 64, rounds=rounds)
+    return run_two_party(
+        protocol.alice,
+        protocol.bob,
+        alice_input=frozenset(s),
+        bob_input=frozenset(t),
+        shared_seed=seed,
+        fault_injector=injector,
+    )
+
+
+def _hash_list_tamper(change):
+    """An injector that rewrites the stage-0 hash list Alice sends (her
+    third message: fingerprints, sizes, then hash lists)."""
+    sent = []
+
+    def injector(sender, payload):
+        if sender == "alice":
+            sent.append(payload)
+            if len(sent) == 3:
+                return change(payload)
+        return payload
+
+    return injector
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda bits: BitString(bits.value >> 1, len(bits) - 1),
+        lambda bits: bits + BitString(0, 1),
+        lambda bits: bits + BitString(5, 8),
+    ],
+    ids=["truncated", "one-bit-over", "one-byte-over"],
+)
+def test_hash_list_message_must_be_exact(change):
+    from repro.comm.errors import DecodeError
+    from repro.workloads import make_instance
+
+    s, t = make_instance(random.Random(3), 1 << 20, 64, 0.5)
+    clean = _tree_run(s, t, 9)
+    assert clean.alice_output == clean.bob_output == s & t
+    with pytest.raises(DecodeError):
+        _tree_run(s, t, 9, _hash_list_tamper(change))

@@ -117,3 +117,51 @@ class TestCollisionStatistics:
         for element in range(0, 2 * k * 64, 64):
             loads[hash_fn(element)] += 1
         assert max(loads) < 16
+
+
+class TestDrawCoins:
+    """``_draw_coins`` is the ``getrandbits`` rejection loop that
+    ``randrange`` runs; it must draw ``randrange``'s values and leave the
+    twister exactly where ``randrange`` leaves it."""
+
+    # Primes whose bound sits just above a power of two, so about half of
+    # all draws are rejected and the loop retries, beside plain ones.
+    PRIMES = [2, 3, 5, 17, 257, 65537, 4294967311, 1000003, (1 << 61) - 1]
+
+    @pytest.mark.parametrize("prime", PRIMES)
+    def test_equals_randrange_on_a_fresh_twister(self, prime):
+        import random
+
+        from repro.hashing.pairwise import _draw_coins
+
+        retries = 0
+        for seed in range(300):
+            reference = random.Random(seed)
+            expected = (
+                1 + reference.randrange(prime - 1),
+                reference.randrange(prime),
+            )
+            twister = random.Random(seed)
+            calls = []
+
+            def counted(bits, _draw=twister.getrandbits):
+                calls.append(bits)
+                return _draw(bits)
+
+            assert _draw_coins(counted, prime) == expected
+            retries += len(calls) - 2
+            # The same words were consumed: the streams go on together.
+            assert twister.getrandbits(64) == reference.getrandbits(64)
+        if prime in (3, 5, 17, 257, 65537, 4294967311):
+            assert retries > 0
+
+    def test_reseeding_builds_the_fresh_twister_state(self):
+        import random
+
+        from repro.hashing.pairwise import _reseed
+
+        twister = random.Random(0)
+        for seed in (0, 1, 7, 1 << 40, (1 << 128) - 1, 2**127 + 12345):
+            twister.getrandbits(100)
+            _reseed(twister, seed)
+            assert twister.getstate()[1] == random.Random(seed).getstate()[1]

@@ -217,6 +217,27 @@ class TestAffineImageSegments:
             forced = affine_image_segments(segments)
         assert dispatched == forced
 
+    def test_any_iterable_keys_in_iteration_order(self):
+        # The tree protocol passes each leaf's frozenset as is: images come
+        # back in the set's iteration order, tiny and wide segments alike.
+        import random
+
+        rng = random.Random(8)
+        prime = self.PRIME_32
+        segments = []
+        for size in [0, 1, 2, 3, 15, 16, 40, 200] * 3:
+            keys = frozenset(rng.randrange(1 << 32) for _ in range(size))
+            mult = rng.randrange(1, prime)
+            segments.append((keys, mult, rng.randrange(prime), prime, 4099))
+        segments.append((iter([1, 2, 3]), 5, 3, 97, 10))
+        segments.append((tuple(range(30)), 5, 3, 97, 10))
+        segments.append((range(300), 5, 3, 97, 10))
+        out = affine_image_segments(segments)
+        for (keys, mult, shift, prime_, range_size), images in zip(segments, out):
+            if isinstance(keys, type(iter([]))):
+                keys = [1, 2, 3]
+            assert images == [(mult * x + shift) % prime_ % range_size for x in keys]
+
 
 class TestOtherKernels:
     def test_bucket_assign_is_affine(self):

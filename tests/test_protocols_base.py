@@ -4,10 +4,14 @@ import pytest
 
 from repro.comm.engine import PartyContext
 from repro.comm.transcript import Transcript
+from repro.comm.errors import ProtocolError
+from repro.core.api import compute_intersection
 from repro.protocols.base import (
     IntersectionOutcome,
+    InvalidInput,
     SetIntersectionProtocol,
     subcontext,
+    validate_set,
     validate_set_pair,
 )
 from repro.util.bits import BitString
@@ -82,6 +86,39 @@ class TestValidation:
         t_small = min(timeit.repeat(lambda: run(small), number=50, repeat=5))
         t_large = min(timeit.repeat(lambda: run(large), number=50, repeat=5))
         assert t_large < 20 * max(t_small, 1e-7)
+
+
+class TestInvalidInput:
+    """Every input fault is one type: a ValueError, never a ProtocolError."""
+
+    def test_is_a_value_error_and_not_a_protocol_error(self):
+        assert issubclass(InvalidInput, ValueError)
+        assert not issubclass(InvalidInput, ProtocolError)
+
+    @pytest.mark.parametrize(
+        "raw, match",
+        [
+            ([1, 2, 3], "bound is k"),
+            ([10], "outside universe"),
+            ([-1], "outside universe"),
+            (["x"], "outside universe"),
+            ([1.5], "outside universe"),
+            (frozenset({2.0}), "outside universe"),
+            ([None], "outside universe"),
+            ([[1]], "not a set of ints"),
+            ([1, {2: 3}], "not a set of ints"),
+            (3, "not a set of ints"),
+        ],
+    )
+    def test_each_input_fault_raises_it(self, raw, match):
+        with pytest.raises(InvalidInput, match=match):
+            validate_set("alice", raw, universe_size=10, max_set_size=2)
+        with pytest.raises(InvalidInput, match=match):
+            validate_set_pair([], raw, universe_size=10, max_set_size=2)
+
+    def test_library_entry_point_raises_it_for_an_unhashable_member(self):
+        with pytest.raises(InvalidInput, match="alice's set"):
+            compute_intersection([[1]], [2], universe_size=10, max_set_size=2)
 
 
 class TestOutcome:

@@ -317,3 +317,71 @@ class TestPolynomialFingerprint:
     def test_rejects_bad_exponent(self):
         with pytest.raises(ValueError):
             polynomial_fingerprint(b"x", 0, SharedRandomness(1).stream("p"))
+
+
+class TestPrintMisses:
+    """The print-cache miss path against its definition: the print of
+    ``canonical_bytes(value)`` by ``_fingerprint_impl``."""
+
+    SALT = bytes(range(32))
+
+    @pytest.mark.parametrize("width", [1, 8, 11, 64, 255, 256, 257, 300, 600])
+    @pytest.mark.parametrize(
+        "value",
+        [
+            frozenset(),
+            frozenset({0}),
+            frozenset({7}),
+            frozenset({True}),
+            frozenset({False}),
+            frozenset({False, True, 2}),
+            frozenset({2**32 - 1, 5, 2**40}),
+            frozenset({LAST_FAST_INT}),
+            frozenset({2**1016}),
+            frozenset({LAST_FAST_INT, 2**1016}),
+            frozenset({1, "a", (2, 3)}),
+            frozenset(range(300)),
+            (1, 2),
+            17,
+            "text",
+        ],
+    )
+    def test_matches_the_serialized_print(self, value, width):
+        from repro.protocols.fingerprint import (
+            _fingerprint_impl,
+            _fingerprint_of_impl,
+        )
+
+        expected = _fingerprint_impl(self.SALT, width, canonical_bytes(value))
+        assert _fingerprint_of_impl(self.SALT, width, value) == expected
+        assert 0 <= expected < 1 << width
+
+    @given(st.frozensets(int_members, max_size=12), st.integers(1, 520))
+    def test_random_int_sets(self, value, width):
+        from repro.protocols.fingerprint import (
+            _fingerprint_impl,
+            _fingerprint_of_impl,
+        )
+
+        assert _fingerprint_of_impl(self.SALT, width, value) == _fingerprint_impl(
+            self.SALT, width, canonical_bytes(value)
+        )
+
+    @pytest.mark.parametrize(
+        "value", [frozenset({-3}), frozenset({1, -3}), frozenset({1.5}), 1.5]
+    )
+    def test_rejected_values_still_raise(self, value):
+        from repro.protocols.fingerprint import _fingerprint_of_impl
+
+        with pytest.raises((TypeError, ValueError)):
+            _fingerprint_of_impl(self.SALT, 16, value)
+
+    def test_singletons_serialize_like_the_general_path(self):
+        for x in (0, 1, True, False, 255, 256, 2**63, LAST_FAST_INT):
+            assert _int_set_bytes(frozenset({x})) == _general_set_bytes(
+                frozenset({x})
+            )
+        assert _int_set_bytes(frozenset({2**1016})) is None
+        assert _int_set_bytes(frozenset({"x"})) is None
+        with pytest.raises(ValueError):
+            _int_set_bytes(frozenset({-1}))

@@ -13,7 +13,10 @@ import pytest
 
 from conftest import make_instance
 from repro.core.api import compute_intersection
+from repro.core import tree_protocol
+from repro.protocols import one_round
 from repro.serve import BatchCoalescer, SessionRegistry, coalescible
+from repro.serve import coalescer as coalescer_module
 from repro.serve.coalescer import (
     PendingOp,
     one_round_batch_results,
@@ -363,3 +366,109 @@ class TestJaccardAcrossPaths:
         scalar, _ = _drive(registries[0], ops, coalesce=False)
         coalesced, _ = _drive(registries[1], ops, coalesce=True)
         assert [value for value, _ in coalesced] == [value for value, _ in scalar]
+
+
+class TestCodeErrors:
+    """A code error is not the client's fault, and it must not stop the
+    server answering: every op read gets a reply."""
+
+    def _registry(self, rounds=1):
+        registry = SessionRegistry(0)
+        for key in ("s0", "s1"):
+            registry.open(key, universe_size=1 << 20, max_set_size=64, rounds=rounds)
+        return registry
+
+    @staticmethod
+    def _submit(coalescer, registry, key, s, t):
+        future = asyncio.get_running_loop().create_future()
+        coalescer.submit(
+            PendingOp(entry=registry.get(key), kind="size",
+                      alice_set=s, bob_set=t, future=future)
+        )
+        return future
+
+    def test_a_failed_tick_fails_its_ops_and_the_drain_goes_on(
+        self, rng, monkeypatch
+    ):
+        s, t = make_instance(rng, 1 << 20, 64, 0.5)
+        registry = self._registry()
+        real = coalescer_module.one_round_batch_results
+        planted = []
+
+        def fail_once(*args, **kwargs):
+            if not planted:
+                planted.append(True)
+                raise KeyError("planted")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(coalescer_module, "one_round_batch_results", fail_once)
+
+        async def scenario():
+            coalescer = BatchCoalescer(registry, coalesce=True, tick_s=0.0)
+            await coalescer.start()
+            # Bounded: at fault, the ops are never answered.
+            failed = await asyncio.wait_for(
+                asyncio.gather(
+                    self._submit(coalescer, registry, "s0", s, t),
+                    self._submit(coalescer, registry, "s1", s, t),
+                    return_exceptions=True,
+                ),
+                timeout=30,
+            )
+            after_failure = (
+                coalescer.pending,
+                registry.get("s0").pending,
+                registry.get("s1").pending,
+                coalescer._task.done(),
+            )
+            later = await asyncio.wait_for(
+                asyncio.gather(
+                    self._submit(coalescer, registry, "s0", s, t),
+                    self._submit(coalescer, registry, "s1", s, t),
+                ),
+                timeout=30,
+            )
+            pending = coalescer.pending
+            await coalescer.stop()
+            return failed, after_failure, later, pending
+
+        failed, after_failure, later, pending = asyncio.run(scenario())
+        assert [type(error) for error in failed] == [KeyError, KeyError]
+        assert after_failure == (0, 0, 0, False)
+        assert [value for value, _ in later] == [len(s & t)] * 2
+        assert pending == 0
+        assert registry.get("s0").session.stats().operations == 1
+
+    @pytest.mark.parametrize("rounds", [1, 2])
+    def test_a_value_error_inside_a_protocol_run_is_not_invalid_input(
+        self, rng, monkeypatch, rounds
+    ):
+        s, t = make_instance(rng, 1 << 20, 64, 0.5)
+        registry = self._registry(rounds)
+
+        def planted(*args, **kwargs):
+            raise ValueError("planted")
+
+        # Inside the protocol run: the one-round party and its batch
+        # executor, and the tree protocol's stage loop (scalar and
+        # round-barrier paths).
+        monkeypatch.setattr(one_round, "sort_ints", planted)
+        monkeypatch.setattr(coalescer_module, "one_round_batch_results", planted)
+        monkeypatch.setattr(tree_protocol, "equality_error_exponent", planted)
+        with pytest.raises(ValueError, match="planted") as excinfo:
+            run_scalar_operation(registry.get("s0"), "size", s, t)
+        assert not isinstance(excinfo.value, ServeError)
+
+        async def scenario():
+            coalescer = BatchCoalescer(registry, coalesce=True, tick_s=0.0)
+            await coalescer.start()
+            errors = await asyncio.gather(
+                self._submit(coalescer, registry, "s0", s, t),
+                self._submit(coalescer, registry, "s1", s, t),
+                return_exceptions=True,
+            )
+            await coalescer.stop()
+            return errors
+
+        errors = asyncio.run(scenario())
+        assert [type(error) for error in errors] == [ValueError, ValueError]

@@ -115,7 +115,7 @@ class TestControlOps:
                  "rounds": 1},
             )
             replies = []
-            for alice in ([1 << 30], ["x"]):
+            for alice in ([1 << 30], ["x"], [[1]]):
                 replies.append(
                     await _ask(
                         frames, writer,
@@ -133,6 +133,43 @@ class TestControlOps:
         replies, not_a_list = _with_server(ServeConfig(), scenario)
         assert all(reply["error"]["type"] == "invalid-input" for reply in replies)
         assert not_a_list["error"]["type"] == "bad-request"
+
+    def test_code_error_gets_an_internal_error_reply_and_serving_goes_on(
+        self, rng, monkeypatch
+    ):
+        from repro.serve import coalescer as coalescer_module
+
+        s, t = make_instance(rng, 1 << 20, 64, 0.5)
+        real = coalescer_module.run_scalar_operation
+        planted = []
+
+        def fail_once(*args, **kwargs):
+            if not planted:
+                planted.append(True)
+                raise KeyError("planted")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(coalescer_module, "run_scalar_operation", fail_once)
+
+        async def scenario(server):
+            frames, writer = await _client(server)
+            await _ask(
+                frames, writer,
+                {"op": "open", "session": "a", "universe": 1 << 20, "k": 64,
+                 "rounds": 1},
+            )
+            request = {"op": "size", "session": "a",
+                       "alice": sorted(s), "bob": sorted(t)}
+            failed = await _ask(frames, writer, dict(request, id=1))
+            later = await _ask(frames, writer, dict(request, id=2))
+            writer.close()
+            return failed, later, server.coalescer.pending
+
+        failed, later, pending = _with_server(ServeConfig(), scenario)
+        assert failed["id"] == 1 and failed["error"]["type"] == "bad-request"
+        assert failed["error"]["message"].startswith("internal error")
+        assert later["id"] == 2 and later["ok"] and later["result"] == len(s & t)
+        assert pending == 0
 
     def test_bad_frame_answered_then_disconnected(self):
         async def scenario(server):

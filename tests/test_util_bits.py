@@ -240,3 +240,88 @@ class TestDeltaSortedSet:
     def test_roundtrip_property(self, elements):
         decoded = decode_delta_sorted_set(encode_delta_sorted_set(elements))
         assert decoded == sorted(elements)
+
+
+# A run: up to 40 values of one width (long runs cross the 512-bit group).
+_runs = st.integers(0, 40).flatmap(
+    lambda width: st.tuples(
+        st.lists(st.integers(0, (1 << width) - 1), max_size=40),
+        st.just(width),
+    )
+)
+
+
+class TestRuns:
+    """``write_runs`` / ``read_runs`` against one ``write_run`` /
+    ``read_run`` per run, the reference encoders."""
+
+    @staticmethod
+    def _reference(prefix_bits, runs):
+        writer = BitWriter()
+        writer.write_uint(0, prefix_bits)
+        for values, width in runs:
+            writer.write_run(values, width)
+        return writer.finish()
+
+    @given(st.integers(0, 13), st.lists(_runs, max_size=30))
+    def test_bytes_equal_the_per_run_encoding(self, prefix_bits, runs):
+        writer = BitWriter()
+        writer.write_uint(0, prefix_bits)
+        writer.write_runs([values for values, _ in runs], [w for _, w in runs])
+        assert writer.finish() == self._reference(prefix_bits, runs)
+
+    @given(st.integers(0, 13), st.lists(_runs, max_size=30))
+    def test_decode_equals_read_run_and_read_uint(self, prefix_bits, runs):
+        message = self._reference(prefix_bits, runs)
+        counts = [len(values) for values, _ in runs]
+        widths = [width for _, width in runs]
+        reader = BitReader(message)
+        reader.read_uint(prefix_bits)
+        decoded = reader.read_runs(counts, widths)
+        reader.expect_exhausted()
+        assert decoded == [values for values, _ in runs]
+        # The per-run reference readers agree, run by run.
+        reference = BitReader(message)
+        reference.read_uint(prefix_bits)
+        for values, (count, width) in zip(decoded, zip(counts, widths)):
+            assert reference.read_run(count, width) == values
+        # ... and one read_uint of the whole region is their concatenation.
+        whole = BitReader(message)
+        whole.read_uint(prefix_bits)
+        packed = 0
+        for values, width in runs:
+            for value in values:
+                packed = (packed << width) | value
+        assert whole.read_uint(len(message) - prefix_bits) == packed
+
+    def test_short_message_raises_and_consumes_nothing(self):
+        writer = BitWriter()
+        writer.write_runs([[1, 2], [3]], [3, 5])
+        message = writer.finish()
+        truncated = BitString(message.value >> 1, len(message) - 1)
+        reader = BitReader(truncated)
+        with pytest.raises(DecodeError):
+            reader.read_runs([2, 1], [3, 5])
+        assert reader.remaining == len(truncated)
+
+    def test_over_long_message_fails_the_exhaustion_check(self):
+        writer = BitWriter()
+        writer.write_runs([[1, 2], [3]], [3, 5])
+        reader = BitReader(writer.finish() + BitString(0, 1))
+        assert reader.read_runs([2, 1], [3, 5]) == [[1, 2], [3]]
+        with pytest.raises(DecodeError):
+            reader.expect_exhausted()
+
+    @pytest.mark.parametrize(
+        "runs, widths",
+        [([[8]], [3]), ([[1], [-1]], [2, 2]), ([[0]], [-1]), ([[]], [-1])],
+    )
+    def test_writer_range_checks_every_value(self, runs, widths):
+        with pytest.raises(ValueError):
+            BitWriter().write_runs(runs, widths)
+
+    def test_reader_rejects_negative_counts_and_widths(self):
+        reader = BitReader(BitString(0, 8))
+        for counts, widths in (([-1], [2]), ([1], [-2])):
+            with pytest.raises(ValueError):
+                reader.read_runs(counts, widths)
