@@ -474,15 +474,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("inproc", "tcp", "uds"),
         default="inproc",
         help="how clients reach the server: inproc (clients share the "
-        "server's event loop; the default, and the old behavior) or "
-        "tcp/uds (a multi-process client fleet over a real socket)",
+        "server's event loop; the default) or tcp/uds (a multi-process "
+        "client fleet over a real socket)",
     )
     serve_load.add_argument(
         "--fleet",
         type=int,
-        default=2,
-        help="worker processes for the tcp/uds transports (ignored for "
-        "inproc)",
+        default=None,
+        help="worker processes for the tcp/uds transports (default 2)",
     )
     serve_load.add_argument(
         "--profile",
@@ -1403,6 +1402,20 @@ def _load_mix_from_args(args, out):
 def _cmd_serve_load(args, out) -> int:
     from repro.serve import latency_histogram, run_load
 
+    if args.fleet is not None and args.transport == "inproc":
+        print(
+            "--fleet sizes the tcp/uds client fleet; --transport inproc "
+            "runs its clients in the server's process",
+            file=out,
+        )
+        return 2
+    if args.uds_path is not None and args.transport != "uds":
+        print(
+            f"--uds-path names the --transport uds socket; --transport "
+            f"{args.transport} never opens one",
+            file=out,
+        )
+        return 2
     mix = _load_mix_from_args(args, out)
     if mix is None:
         return 2

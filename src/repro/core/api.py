@@ -85,7 +85,9 @@ def compute_intersection(
     s = as_input_set("alice", alice_set)
     t = as_input_set("bob", bob_set)
     if universe_size is None:
-        largest = max(list(s) + list(t) + [1])
+        # Infer from the int members only: any other member fails the
+        # validation below with InvalidInput, not max() or bit_length().
+        largest = max([x for x in s | t if isinstance(x, int)] + [1])
         universe_size = 1 << (largest.bit_length() + 1)
     if max_set_size is None:
         max_set_size = max(len(s), len(t), 1)

@@ -24,10 +24,11 @@ package is that service shape:
   (``repro serve load``): seeded traffic mixes (JSON mix documents),
   p50/p99/p999 latency, sessions/sec, coalesced-lane occupancy, and a
   serial reference runner for the determinism gate;
-* :mod:`repro.serve.fleet` -- the out-of-process load mode: worker
-  processes replaying the same seeded schedule over real TCP or
-  Unix-domain sockets (``repro serve load --transport {tcp,uds}``), with
-  the determinism fingerprint and shed contract extending unchanged.
+* :mod:`repro.serve.fleet` -- the out-of-process load mode: spawned
+  worker processes each running the load harness's one client over real
+  TCP or Unix-domain sockets (``run_load(transport="tcp"|"uds")``,
+  ``repro serve load --transport {tcp,uds}``), with the determinism
+  fingerprint and shed contract extending unchanged.
 """
 
 from repro.serve.coalescer import (
@@ -35,7 +36,7 @@ from repro.serve.coalescer import (
     coalescible,
     one_round_batch_results,
 )
-from repro.serve.fleet import FleetError, run_fleet
+from repro.serve.fleet import FleetError
 from repro.serve.loadgen import (
     DEFAULT_MIX,
     PROFILES,
@@ -74,7 +75,6 @@ __all__ = [
     "run_load",
     "run_mix_serial",
     "FleetError",
-    "run_fleet",
     "SessionRegistry",
     "IntersectionServer",
     "ServeConfig",

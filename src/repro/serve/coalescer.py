@@ -427,7 +427,7 @@ class BatchCoalescer:
             except Exception as exc:
                 # A code error, not a typed ServeError: every read op is
                 # still owed an answer, so the tick's unanswered ops fail
-                # with it (the server replies "internal error") and the
+                # with it (the server replies ``internal``) and the
                 # drain goes on with the next tick.
                 _LOG.error(
                     "coalescer tick of %d ops failed", len(batch), exc_info=True

@@ -1,32 +1,31 @@
-"""Multi-process client fleet: load generation over real sockets.
+"""Multi-process client fleet: the load client over real sockets.
 
-The in-process harness (:func:`repro.serve.loadgen.run_load` with the
-default ``inproc`` transport) shares one event loop between the server
-and its clients, so its capacity numbers never pay the syscall,
-serialization, or RTT costs a deployed client pays -- exactly the costs
-that make *round* complexity matter in practice.  This module is the
-out-of-process mode: the server runs in the parent (TCP or Unix-domain
-socket listener, same wire protocol either way) and ``fleet`` worker
-processes each replay their share of the mix's deterministic schedule
-through the existing :func:`~repro.serve.loadgen._client_run` pipeline
-over a real kernel socket.
-
-**Determinism extends unchanged.**  Sessions are partitioned across
-workers round-robin (the same rule connections use in-process), each
-session's operations ride one connection in ``op_index`` order, and the
-server's aggregate fingerprint is per-session -- so serial oracle,
-in-process clients, and the socket fleet all produce the identical
-fingerprint, and the shed-accounting contract (``ok + shed == total``)
-holds over the merged per-worker counters.
+The in-process run (:func:`repro.serve.loadgen.run_load` with the default
+``inproc`` transport) shares one event loop between the server and its
+client, so its capacity numbers never pay the syscall, serialization, or
+RTT costs a deployed client pays -- exactly the costs that make *round*
+complexity matter in practice.  With ``transport="tcp"`` or ``"uds"``,
+``run_load`` keeps the server in the calling process and hands the
+clients to this module, which only spawns the workers, holds the start
+rendezvous and collects their results.  Each worker runs the same
+:func:`~repro.serve.loadgen._client` the in-process run awaits, over its
+round-robin share of the sessions (the same rule that deals sessions
+onto connections), so serial oracle, in-process client and socket fleet
+all produce the identical fingerprint.
 
 **Measurement discipline.**  Workers pre-encode every frame and open
 every session *before* a start barrier; the measured window opens when
 the last worker reaches the barrier and closes when the last worker's
 results arrive, so the numbers cover socket traffic, not process spawn
-or JSON encoding.  Each worker reports its latency samples and counters
-over a result queue; the parent merges them into one
-:class:`~repro.serve.loadgen.LoadReport` with per-worker summaries
-preserved in ``report.workers``.
+or JSON encoding.  ``run_load`` merges the workers' payloads into one
+:class:`~repro.serve.loadgen.LoadReport` and keeps per-worker summaries
+in ``report.workers``.
+
+**Failures.**  Every worker owes the parent exactly one report, ok or
+error, and files a failure *before* it breaks the barrier.  The parent
+reads every report it is owed off its serving loop (a worker still
+opening sessions must get its replies), so a failed run raises
+:class:`FleetError` naming each worker's exception instead of stalling.
 """
 
 from __future__ import annotations
@@ -34,31 +33,17 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import multiprocessing
-import os
-import tempfile
+import queue
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.serve.loadgen import (
-    LoadMix,
-    LoadReport,
-    _client_run,
-    _partition_sessions,
-    _percentile,
-    generate_schedule,
-    mix_from_dict,
-    mix_to_dict,
-    run_mix_serial,
-)
-from repro.serve.server import IntersectionServer, ServeConfig
-from repro.serve.wire import FrameReader, encode_frame
-from repro.util import hotcache
+from repro.serve.loadgen import LoadMix, _client, mix_from_dict, mix_to_dict
 
-__all__ = ["run_fleet", "FleetError"]
+__all__ = ["FleetError", "drive_fleet"]
 
-#: How long the parent waits for workers to finish connecting + opening
-#: sessions (the unmeasured phase) and for results after the barrier.
+#: How long the parent waits at the start barrier (the workers' unmeasured
+#: connect + open phase) and for each worker's report after it.
 _WORKER_TIMEOUT_S = 120.0
 
 
@@ -66,154 +51,22 @@ class FleetError(RuntimeError):
     """A worker process failed; carries every worker's failure text."""
 
 
-def _encode_worker_frames(
-    mix: LoadMix, session_indices: List[int], connections: int
-) -> Tuple[List[List[bytes]], List[List[Tuple[int, bytes]]]]:
-    """Pre-encode one worker's open and operation frames, per connection.
-
-    The worker regenerates the mix's full deterministic schedule and keeps
-    only its sessions' operations (in global schedule order, which is
-    per-session ``op_index`` order -- the order every executor must
-    preserve).  Request ids are global schedule indices, so they stay
-    unique across the whole fleet.
-    """
-    connections = max(1, min(connections, len(session_indices)))
-    groups: List[List[int]] = [[] for _ in range(connections)]
-    for position, session_index in enumerate(session_indices):
-        groups[position % connections].append(session_index)
-    session_to_group = {
-        session_index: group_index
-        for group_index, group in enumerate(groups)
-        for session_index in group
-    }
-    open_frames: List[List[bytes]] = []
-    for group in groups:
-        open_frames.append(
-            [
-                encode_frame(
-                    {
-                        "op": "open",
-                        "session": mix.session_key(i),
-                        "universe": mix.universe_size,
-                        "k": mix.session_set_size(i),
-                        "rounds": mix.rounds,
-                        "seed": mix.session_seed(i),
-                        "faults": mix.faults,
-                    }
-                )
-                for i in group
-            ]
-        )
-    op_frames: List[List[Tuple[int, bytes]]] = [[] for _ in groups]
-    for request_id, op in enumerate(generate_schedule(mix)):
-        group_index = session_to_group.get(op.session_index)
-        if group_index is None:
-            continue
-        op_frames[group_index].append(
-            (
-                request_id,
-                encode_frame(
-                    {
-                        "op": op.kind,
-                        "id": request_id,
-                        "session": mix.session_key(op.session_index),
-                        "alice": list(op.alice),
-                        "bob": list(op.bob),
-                    }
-                ),
-            )
-        )
-    return open_frames, op_frames
-
-
-async def _worker_async(
-    mix: LoadMix,
-    transport: str,
-    address: Any,
-    session_indices: List[int],
-    connections: int,
-    pipeline: int,
-    barrier,
-) -> Dict[str, Any]:
-    open_frames, op_frames = _encode_worker_frames(
-        mix, session_indices, connections
-    )
-
-    async def _connect():
-        if transport == "uds":
-            return await asyncio.open_unix_connection(address)
-        host, port = address
-        return await asyncio.open_connection(host, port)
-
-    async def _open_group(frames_bytes: List[bytes]):
-        reader, writer = await _connect()
-        frames = FrameReader(reader)
-        for frame in frames_bytes:
-            writer.write(frame)
-        await writer.drain()
-        for _ in frames_bytes:
-            reply = await frames.next()
-            if reply is None or not reply.get("ok"):
-                raise RuntimeError(f"session open failed: {reply!r}")
-        return frames, writer
-
-    # Phase 1 (unmeasured): connect and open this worker's sessions.
-    streams = await asyncio.gather(
-        *(_open_group(group) for group in open_frames)
-    )
-
-    # Rendezvous: every worker (and the parent's clock) passes the barrier
-    # together, so the measured window never includes another worker's
-    # connect/open phase.
-    await asyncio.get_running_loop().run_in_executor(None, barrier.wait)
-
-    latencies_s: List[float] = []
-    shed_latencies_s: List[float] = []
-    counters: Dict[str, Any] = {"ok": 0, "shed": 0, "degraded": 0, "errors": []}
-    started = time.perf_counter()
-    await asyncio.gather(
-        *(
-            _client_run(
-                frames,
-                writer,
-                op_frames[g],
-                pipeline,
-                latencies_s,
-                counters,
-                shed_latencies_s,
-            )
-            for g, (frames, writer) in enumerate(streams)
-        )
-    )
-    wall_s = time.perf_counter() - started
-    return {
-        "ops": sum(len(group) for group in op_frames),
-        "connections": len(streams),
-        "wall_s": wall_s,
-        "latencies_s": latencies_s,
-        "shed_latencies_s": shed_latencies_s,
-        "counters": counters,
-    }
-
-
-def _fleet_worker_main(
+def _worker_main(
     worker_index: int,
     mix_doc: Dict[str, Any],
-    transport: str,
-    address: Any,
+    endpoint: Tuple[str, Any],
     session_indices: List[int],
     connections: int,
     pipeline: int,
     barrier,
     result_queue,
 ) -> None:
-    """Entry point of one spawned worker process."""
+    """Entry point of one spawned worker process: one client, one report."""
     try:
-        result = asyncio.run(
-            _worker_async(
+        payload = asyncio.run(
+            _client(
                 mix_from_dict(mix_doc),
-                transport,
-                address,
+                endpoint,
                 session_indices,
                 connections,
                 pipeline,
@@ -221,250 +74,103 @@ def _fleet_worker_main(
             )
         )
     except BaseException as exc:  # surfaced in the parent, never swallowed
-        barrier.abort()
+        # Report first: the parent's barrier wait breaks the moment this
+        # worker aborts it, and the reason must already be on its way.
         result_queue.put((worker_index, "error", f"{type(exc).__name__}: {exc}"))
+        barrier.abort()
     else:
-        result_queue.put((worker_index, "ok", result))
+        result_queue.put((worker_index, "ok", payload))
 
 
-def run_fleet(
+def _read_reports(result_queue, count: int) -> List[Tuple[int, str, Any]]:
+    """The reports the workers owe, in worker order (fewer on timeout)."""
+    reports = []
+    with contextlib.suppress(queue.Empty):
+        while len(reports) < count:
+            reports.append(result_queue.get(timeout=_WORKER_TIMEOUT_S))
+    return sorted(reports, key=lambda report: report[0])
+
+
+def _reap(processes) -> None:
+    for process in processes:
+        process.join(timeout=5.0)
+        if process.is_alive():
+            process.terminate()
+
+
+async def drive_fleet(
     mix: LoadMix,
-    *,
-    transport: str = "uds",
-    fleet: int = 2,
-    coalesce: bool = True,
-    tick_s: float = 0.002,
-    connections: int = 8,
-    pipeline: int = 32,
-    max_pending_global: int = 4096,
-    max_pending_per_session: int = 512,
-    check_serial: bool = False,
-    profile: str = "warm",
-    uds_path: Optional[str] = None,
-) -> LoadReport:
-    """Replay ``mix`` through ``fleet`` worker processes over a real socket.
-
-    The server runs in the calling process (so its coalescer stats and
-    fingerprint are read directly); each worker owns a round-robin share
-    of the sessions and ``connections`` is per worker (bounded by its
-    session count).  ``profile="cold"`` disables the server's hot-path
-    caches for the whole run.
-
-    :raises FleetError: if any worker process fails or times out.
-    """
-    if transport not in ("tcp", "uds"):
-        raise ValueError(f"fleet transport must be tcp or uds, got {transport!r}")
-    if fleet < 1:
-        raise ValueError(f"fleet must be at least 1 worker, got {fleet}")
-
-    with contextlib.ExitStack() as stack:
-        if profile == "cold":
-            stack.enter_context(hotcache.disabled())
-        if transport == "uds" and uds_path is None:
-            tmp = stack.enter_context(
-                tempfile.TemporaryDirectory(prefix="repro-serve-")
-            )
-            uds_path = os.path.join(tmp, "serve.sock")
-        report = asyncio.run(
-            _run_fleet_async(
-                mix,
-                transport=transport,
-                fleet=fleet,
-                coalesce=coalesce,
-                tick_s=tick_s,
-                connections=connections,
-                pipeline=pipeline,
-                max_pending_global=max_pending_global,
-                max_pending_per_session=max_pending_per_session,
-                uds_path=uds_path,
-            )
-        )
-    report.profile = profile
-    if check_serial:
-        # Outside the cold block on purpose: the caches are
-        # value-transparent, so a warm oracle matching a cold server is
-        # exactly the claim the gate certifies.
-        reference = run_mix_serial(mix)
-        report.serial_match = (
-            report.shed == 0
-            and not report.errors
-            and reference["fingerprint"] == report.fingerprint
-        )
-    return report
-
-
-async def _run_fleet_async(
-    mix: LoadMix,
-    *,
-    transport: str,
-    fleet: int,
-    coalesce: bool,
-    tick_s: float,
+    endpoint: Tuple[str, Any],
+    shares: Sequence[List[int]],
     connections: int,
     pipeline: int,
-    max_pending_global: int,
-    max_pending_per_session: int,
-    uds_path: Optional[str],
-) -> LoadReport:
-    server = IntersectionServer(
-        ServeConfig(
-            transport=transport,
-            uds_path=uds_path,
-            coalesce=coalesce,
-            tick_s=tick_s,
-            max_pending_global=max_pending_global,
-            max_pending_per_session=max_pending_per_session,
-        )
-    )
-    await server.start()
-    kind, address = server.endpoint
+) -> Tuple[List[Dict[str, Any]], float]:
+    """Run one worker per session share against ``endpoint``.
 
+    Must be awaited on the loop that serves ``endpoint``: every blocking
+    wait runs in an executor thread so that loop keeps answering.
+    Returns the workers' client payloads in worker order and the wall
+    time from the start rendezvous to the last report.
+
+    :raises FleetError: if any worker fails or times out.
+    """
     # Spawn (not fork): the parent holds a live event loop and an open
     # listener, neither of which survives a fork cleanly; spawned workers
     # re-import and re-derive everything from the (JSON-round-trippable)
     # mix document, which doubles as proof the schedule is replayable
     # from the document alone.
     ctx = multiprocessing.get_context("spawn")
-    groups = _partition_sessions(mix, min(fleet, mix.sessions))
-    barrier = ctx.Barrier(len(groups) + 1)
+    # The parent is the extra barrier party: passing it marks every
+    # worker connected and opened, and starts the clock.
+    barrier = ctx.Barrier(len(shares) + 1)
     result_queue: Any = ctx.Queue()
-    processes = []
-    loop = asyncio.get_running_loop()
-    try:
-        for worker_index, group in enumerate(groups):
-            process = ctx.Process(
-                target=_fleet_worker_main,
-                args=(
-                    worker_index,
-                    mix_to_dict(mix),
-                    kind,
-                    address,
-                    group,
-                    connections,
-                    pipeline,
-                    barrier,
-                    result_queue,
-                ),
-                daemon=True,
-            )
-            process.start()
-            processes.append(process)
-
-        # The parent is the (fleet+1)-th barrier party: passing it marks
-        # every worker connected and opened, and starts the clock.
-        def _rendezvous() -> None:
-            barrier.wait(timeout=_WORKER_TIMEOUT_S)
-
-        try:
-            await loop.run_in_executor(None, _rendezvous)
-        except threading.BrokenBarrierError:
-            raise FleetError(
-                "fleet rendezvous failed: "
-                + "; ".join(_drain_failures(result_queue))
-            ) from None
-        started = time.perf_counter()
-
-        results: List[Tuple[int, str, Any]] = []
-        for _ in groups:
-            try:
-                results.append(
-                    await loop.run_in_executor(
-                        None, result_queue.get, True, _WORKER_TIMEOUT_S
-                    )
-                )
-            except Exception:
-                raise FleetError(
-                    f"timed out waiting for fleet results "
-                    f"({len(results)}/{len(groups)} workers reported)"
-                ) from None
-        wall_s = time.perf_counter() - started
-
-        failures = [
-            f"worker {index}: {detail}"
-            for index, status, detail in results
-            if status != "ok"
-        ]
-        if failures:
-            raise FleetError("; ".join(failures))
-
-        info = server.info_payload()
-    finally:
-        for process in processes:
-            process.join(timeout=5.0)
-            if process.is_alive():
-                process.terminate()
-        await server.stop()
-
-    results.sort(key=lambda item: item[0])
-    latencies_s: List[float] = []
-    shed_latencies_s: List[float] = []
-    ok = shed = degraded = 0
-    errors: List[Dict[str, Any]] = []
-    worker_summaries: List[Dict[str, Any]] = []
-    for worker_index, _, payload in results:
-        latencies_s.extend(payload["latencies_s"])
-        shed_latencies_s.extend(payload["shed_latencies_s"])
-        counters = payload["counters"]
-        ok += counters["ok"]
-        shed += counters["shed"]
-        degraded += counters["degraded"]
-        errors.extend(counters["errors"])
-        worker_latencies = sorted(v * 1e3 for v in payload["latencies_s"])
-        worker_summaries.append(
-            {
-                "worker": worker_index,
-                "ops": payload["ops"],
-                "connections": payload["connections"],
-                "ok": counters["ok"],
-                "shed": counters["shed"],
-                "wall_s": payload["wall_s"],
-                "p50_ms": _percentile(worker_latencies, 0.50),
-                "p99_ms": _percentile(worker_latencies, 0.99),
-            }
+    processes = [
+        ctx.Process(
+            target=_worker_main,
+            args=(
+                worker_index,
+                mix_to_dict(mix),
+                endpoint,
+                share,
+                connections,
+                pipeline,
+                barrier,
+                result_queue,
+            ),
+            daemon=True,
         )
+        for worker_index, share in enumerate(shares)
+    ]
+    loop = asyncio.get_running_loop()
+    started = None
+    try:
+        for process in processes:
+            process.start()
+        with contextlib.suppress(threading.BrokenBarrierError):
+            await loop.run_in_executor(None, barrier.wait, _WORKER_TIMEOUT_S)
+            started = time.perf_counter()
+        reports = await loop.run_in_executor(
+            None, _read_reports, result_queue, len(processes)
+        )
+        finished = time.perf_counter()
+    finally:
+        # Wakes any worker still parked at the barrier if the parent
+        # leaves early; harmless once every party has passed.
+        barrier.abort()
+        await loop.run_in_executor(None, _reap, processes)
 
-    latencies_ms = sorted(value * 1e3 for value in latencies_s)
-    shed_latencies_ms = sorted(value * 1e3 for value in shed_latencies_s)
-    ops_total = mix.sessions * mix.ops_per_session
-    coalescer = info["coalescer"]
-    return LoadReport(
-        mix_name=mix.name,
-        coalesce=coalesce,
-        sessions=mix.sessions,
-        ops_total=ops_total,
-        ops_ok=ok,
-        shed=shed,
-        degraded=degraded,
-        errors=errors,
-        wall_s=wall_s,
-        sessions_per_sec=mix.sessions / wall_s if wall_s > 0 else 0.0,
-        ops_per_sec=ops_total / wall_s if wall_s > 0 else 0.0,
-        p50_ms=_percentile(latencies_ms, 0.50),
-        p99_ms=_percentile(latencies_ms, 0.99),
-        p999_ms=_percentile(latencies_ms, 0.999),
-        shed_p50_ms=_percentile(shed_latencies_ms, 0.50),
-        shed_p99_ms=_percentile(shed_latencies_ms, 0.99),
-        coalesced_ops=coalescer["coalesced_ops"],
-        scalar_ops=coalescer["scalar_ops"],
-        lanes_per_batch=coalescer["lanes_per_batch"],
-        batches=coalescer["batches"],
-        fingerprint=info["fingerprint"],
-        transport=transport,
-        fleet=len(groups),
-        workers=worker_summaries,
-        latencies_ms=latencies_ms,
-        shed_latencies_ms=shed_latencies_ms,
-    )
-
-
-def _drain_failures(result_queue) -> List[str]:
-    """Whatever failure texts workers managed to report before aborting."""
-    failures = []
-    while True:
-        try:
-            index, status, detail = result_queue.get_nowait()
-        except Exception:
-            break
-        if status != "ok":
-            failures.append(f"worker {index}: {detail}")
-    return failures or ["no worker reported a reason"]
+    failures = [
+        f"worker {index}: {detail}"
+        for index, status, detail in reports
+        if status != "ok"
+    ]
+    if len(reports) < len(processes):
+        failures.append(
+            f"timed out waiting for fleet results "
+            f"({len(reports)}/{len(processes)} workers reported)"
+        )
+    if started is None:
+        raise FleetError("fleet rendezvous failed: " + "; ".join(failures))
+    if failures:
+        raise FleetError("; ".join(failures))
+    return [payload for _, _, payload in reports], finished - started

@@ -12,18 +12,22 @@ server (coalesced or not), or through :func:`run_mix_serial`, the
 in-process serial reference runner the determinism gate compares
 fingerprints against.
 
-:func:`run_load` boots an in-process server, replays the mix over real
-socket connections, and reports the capacity numbers: p50/p99/p999
-latency, sessions/sec and ops/sec, shed count, and coalesced-lane
-occupancy.  Request frames are pre-encoded *before* the measured window
-so the numbers measure the server, not the client's JSON encoder.
+:func:`run_load` boots a server in the calling process, replays the mix
+through one load client -- on the server's own event loop, or in the
+worker processes of :mod:`repro.serve.fleet` over TCP or a Unix socket
+-- and reports the capacity numbers: p50/p99/p999 latency, sessions/sec
+and ops/sec, shed count, and coalesced-lane occupancy.  Request frames
+are pre-encoded *before* the measured window so the numbers measure the
+server, not the client's JSON encoder.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import os
 import random
+import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -380,12 +384,77 @@ def latency_histogram(latencies_ms: Sequence[float]) -> Dict[str, Any]:
     }
 
 
-async def _client_open(
-    host: str,
-    port: int,
-    open_frames: List[bytes],
+def _partition(indices: Sequence[int], parts: int) -> List[List[int]]:
+    """``indices`` dealt round-robin into ``parts`` groups, clamped to
+    ``[1, len(indices)]`` groups: sessions onto fleet workers, and a
+    client's sessions onto its connections."""
+    parts = max(1, min(parts, len(indices)))
+    return [list(indices[part::parts]) for part in range(parts)]
+
+
+def _encode_frames(
+    mix: LoadMix, session_indices: Sequence[int], connections: int
+) -> Tuple[List[List[bytes]], List[List[Tuple[int, bytes]]]]:
+    """Pre-encode one client's open and operation frames, per connection.
+
+    Encoding happens before the measured window, so the numbers measure
+    the server, not the client's JSON encoder.  The client regenerates
+    the mix's full deterministic schedule and keeps only its sessions'
+    operations, in global schedule order (which is per-session
+    ``op_index`` order -- the order every executor must preserve).
+    Request ids are global schedule indices, so they stay unique across
+    a whole fleet.
+    """
+    groups = _partition(session_indices, connections)
+    connection_of = {i: g for g, group in enumerate(groups) for i in group}
+    open_frames = [
+        [
+            encode_frame(
+                {
+                    "op": "open",
+                    "session": mix.session_key(i),
+                    "universe": mix.universe_size,
+                    "k": mix.session_set_size(i),
+                    "rounds": mix.rounds,
+                    "seed": mix.session_seed(i),
+                    "faults": mix.faults,
+                }
+            )
+            for i in group
+        ]
+        for group in groups
+    ]
+    op_frames: List[List[Tuple[int, bytes]]] = [[] for _ in groups]
+    for request_id, op in enumerate(generate_schedule(mix)):
+        group_index = connection_of.get(op.session_index)
+        if group_index is None:
+            continue
+        op_frames[group_index].append(
+            (
+                request_id,
+                encode_frame(
+                    {
+                        "op": op.kind,
+                        "id": request_id,
+                        "session": mix.session_key(op.session_index),
+                        "alice": list(op.alice),
+                        "bob": list(op.bob),
+                    }
+                ),
+            )
+        )
+    return open_frames, op_frames
+
+
+async def _open_sessions(
+    endpoint: Tuple[str, Any], open_frames: List[bytes]
 ) -> Tuple[FrameReader, asyncio.StreamWriter]:
-    reader, writer = await asyncio.open_connection(host, port)
+    """Connect to ``endpoint`` (``server.endpoint``) and open sessions."""
+    kind, address = endpoint
+    if kind == "uds":
+        reader, writer = await asyncio.open_unix_connection(address)
+    else:
+        reader, writer = await asyncio.open_connection(*address)
     frames = FrameReader(reader)
     for frame in open_frames:
         writer.write(frame)
@@ -494,128 +563,107 @@ async def _client_run(
             pass
 
 
-def _partition_sessions(mix: LoadMix, connections: int) -> List[List[int]]:
-    connections = max(1, min(connections, mix.sessions))
-    groups: List[List[int]] = [[] for _ in range(connections)]
-    for i in range(mix.sessions):
-        groups[i % connections].append(i)
-    return groups
-
-
-async def _run_load_async(
+async def _client(
     mix: LoadMix,
-    *,
-    coalesce: bool,
-    tick_s: float,
+    endpoint: Tuple[str, Any],
+    session_indices: Sequence[int],
     connections: int,
     pipeline: int,
-    max_pending_global: int,
-    max_pending_per_session: int,
-    check_serial: bool,
-) -> LoadReport:
-    server = IntersectionServer(
-        ServeConfig(
-            coalesce=coalesce,
-            tick_s=tick_s,
-            max_pending_global=max_pending_global,
-            max_pending_per_session=max_pending_per_session,
+    barrier: Any = None,
+) -> Dict[str, Any]:
+    """The load client: open sessions, rendezvous, replay, summarize.
+
+    The in-process run awaits it on the server's own event loop with
+    every session; each fleet worker runs it on its own loop with its
+    share of the sessions and the fleet's start ``barrier``.  Only the
+    replay is timed.  Returns a picklable payload for
+    :func:`_build_report`.
+    """
+    open_frames, op_frames = _encode_frames(mix, session_indices, connections)
+
+    # Phase 1 (unmeasured): connect and open every session.
+    streams = await asyncio.gather(
+        *(_open_sessions(endpoint, frames) for frames in open_frames)
+    )
+    if barrier is not None:
+        # Rendezvous: every worker (and the parent's clock) passes the
+        # barrier together, so the measured window never includes
+        # another worker's connect/open phase.
+        await asyncio.get_running_loop().run_in_executor(None, barrier.wait)
+
+    # Phase 2 (measured): replay the schedule.
+    latencies_s: List[float] = []
+    shed_latencies_s: List[float] = []
+    counters: Dict[str, Any] = {"ok": 0, "shed": 0, "degraded": 0, "errors": []}
+    started = time.perf_counter()
+    await asyncio.gather(
+        *(
+            _client_run(
+                frames,
+                writer,
+                op_frames[g],
+                pipeline,
+                latencies_s,
+                counters,
+                shed_latencies_s,
+            )
+            for g, (frames, writer) in enumerate(streams)
         )
     )
-    await server.start()
-    host, port = server.address
-    try:
-        schedule = generate_schedule(mix)
+    return {
+        "ops": sum(len(frames) for frames in op_frames),
+        "connections": len(streams),
+        "wall_s": time.perf_counter() - started,
+        "latencies_s": latencies_s,
+        "shed_latencies_s": shed_latencies_s,
+        "counters": counters,
+    }
 
-        # Pre-encode every frame before the measured window: the numbers
-        # should measure the server, not the client's JSON encoder.
-        groups = _partition_sessions(mix, connections)
-        session_to_group = {}
-        open_frames: List[List[bytes]] = []
-        op_frames: List[List[Tuple[int, bytes]]] = []
-        for group_index, group in enumerate(groups):
-            frames = []
-            for i in group:
-                session_to_group[i] = group_index
-                frames.append(
-                    encode_frame(
-                        {
-                            "op": "open",
-                            "session": mix.session_key(i),
-                            "universe": mix.universe_size,
-                            "k": mix.session_set_size(i),
-                            "rounds": mix.rounds,
-                            "seed": mix.session_seed(i),
-                            "faults": mix.faults,
-                        }
-                    )
-                )
-            open_frames.append(frames)
-            op_frames.append([])
-        for request_id, op in enumerate(schedule):
-            group_index = session_to_group[op.session_index]
-            op_frames[group_index].append(
-                (
-                    request_id,
-                    encode_frame(
-                        {
-                            "op": op.kind,
-                            "id": request_id,
-                            "session": mix.session_key(op.session_index),
-                            "alice": list(op.alice),
-                            "bob": list(op.bob),
-                        }
-                    ),
-                )
-            )
 
-        # Phase 1 (unmeasured): connect and open every session.
-        streams = await asyncio.gather(
-            *(
-                _client_open(host, port, open_frames[g])
-                for g in range(len(groups))
-            )
+def _build_report(
+    mix: LoadMix,
+    payloads: List[Dict[str, Any]],
+    wall_s: float,
+    info: Dict[str, Any],
+    transport: str,
+) -> LoadReport:
+    """Merge client payloads (one in process, one per fleet worker, in
+    worker order) and the server's ``info`` into one report."""
+    latencies_ms = sorted(
+        value * 1e3 for payload in payloads for value in payload["latencies_s"]
+    )
+    shed_latencies_ms = sorted(
+        value * 1e3
+        for payload in payloads
+        for value in payload["shed_latencies_s"]
+    )
+    counters = [payload["counters"] for payload in payloads]
+    workers = []
+    for index, payload in enumerate(payloads if transport != "inproc" else ()):
+        worker_latencies = sorted(v * 1e3 for v in payload["latencies_s"])
+        workers.append(
+            {
+                "worker": index,
+                "ops": payload["ops"],
+                "connections": payload["connections"],
+                "ok": payload["counters"]["ok"],
+                "shed": payload["counters"]["shed"],
+                "wall_s": payload["wall_s"],
+                "p50_ms": _percentile(worker_latencies, 0.50),
+                "p99_ms": _percentile(worker_latencies, 0.99),
+            }
         )
-
-        # Phase 2 (measured): replay the schedule.
-        latencies_s: List[float] = []
-        shed_latencies_s: List[float] = []
-        counters: Dict[str, Any] = {
-            "ok": 0, "shed": 0, "degraded": 0, "errors": []
-        }
-        started = time.perf_counter()
-        await asyncio.gather(
-            *(
-                _client_run(
-                    frames,
-                    writer,
-                    op_frames[g],
-                    pipeline,
-                    latencies_s,
-                    counters,
-                    shed_latencies_s,
-                )
-                for g, (frames, writer) in enumerate(streams)
-            )
-        )
-        wall_s = time.perf_counter() - started
-
-        info = server.info_payload()
-    finally:
-        await server.stop()
-
-    latencies_ms = sorted(value * 1e3 for value in latencies_s)
-    shed_latencies_ms = sorted(value * 1e3 for value in shed_latencies_s)
-    ops_total = len(schedule)
+    ops_total = mix.sessions * mix.ops_per_session
     coalescer = info["coalescer"]
-    report = LoadReport(
+    return LoadReport(
         mix_name=mix.name,
-        coalesce=coalesce,
+        coalesce=info["coalesce"],
         sessions=mix.sessions,
         ops_total=ops_total,
-        ops_ok=counters["ok"],
-        shed=counters["shed"],
-        degraded=counters["degraded"],
-        errors=counters["errors"],
+        ops_ok=sum(c["ok"] for c in counters),
+        shed=sum(c["shed"] for c in counters),
+        degraded=sum(c["degraded"] for c in counters),
+        errors=[error for c in counters for error in c["errors"]],
         wall_s=wall_s,
         sessions_per_sec=mix.sessions / wall_s if wall_s > 0 else 0.0,
         ops_per_sec=ops_total / wall_s if wall_s > 0 else 0.0,
@@ -629,24 +677,52 @@ async def _run_load_async(
         lanes_per_batch=coalescer["lanes_per_batch"],
         batches=coalescer["batches"],
         fingerprint=info["fingerprint"],
+        transport=transport,
+        fleet=len(workers),
+        workers=workers,
         latencies_ms=latencies_ms,
         shed_latencies_ms=shed_latencies_ms,
     )
-    if check_serial:
-        reference = run_mix_serial(mix)
-        report.serial_match = (
-            report.shed == 0
-            and not report.errors
-            and reference["fingerprint"] == report.fingerprint
-        )
-    return report
+
+
+async def _serve(
+    mix: LoadMix,
+    config: ServeConfig,
+    transport: str,
+    fleet: int,
+    connections: int,
+    pipeline: int,
+) -> LoadReport:
+    """Boot the server, drive it with the load client(s), report."""
+    server = IntersectionServer(config)
+    await server.start()
+    try:
+        if fleet:
+            from repro.serve.fleet import drive_fleet
+
+            payloads, wall_s = await drive_fleet(
+                mix,
+                server.endpoint,
+                _partition(range(mix.sessions), fleet),
+                connections,
+                pipeline,
+            )
+        else:
+            payload = await _client(
+                mix, server.endpoint, range(mix.sessions), connections, pipeline
+            )
+            payloads, wall_s = [payload], payload["wall_s"]
+        info = server.info_payload()
+    finally:
+        await server.stop()
+    return _build_report(mix, payloads, wall_s, info, transport)
 
 
 #: Client transports ``run_load`` understands.  ``inproc`` is the
 #: same-process asyncio harness (clients and server share one event loop
-#: over loopback TCP); ``tcp`` and ``uds`` hand off to the multi-process
-#: fleet driver in :mod:`repro.serve.fleet`, where worker processes pay
-#: the real syscall/serialization/RTT costs.
+#: over loopback TCP); ``tcp`` and ``uds`` run the same client in the
+#: worker processes of :mod:`repro.serve.fleet`, which pay the real
+#: syscall/serialization/RTT costs.
 TRANSPORTS = ("inproc", "tcp", "uds")
 
 #: Serving cache profiles.  ``warm`` leaves the hot-path caches on (the
@@ -670,23 +746,28 @@ def run_load(
     max_pending_per_session: int = 512,
     check_serial: bool = False,
     transport: str = "inproc",
-    fleet: int = 2,
+    fleet: Optional[int] = None,
     profile: str = "warm",
     uds_path: Optional[str] = None,
 ) -> LoadReport:
     """Boot an in-process server and replay ``mix`` against it.
 
-    With the default ``transport="inproc"`` the clients share the server's
-    event loop (loopback TCP, zero process boundaries); ``"tcp"`` and
-    ``"uds"`` dispatch to :func:`repro.serve.fleet.run_fleet`, which
-    spawns ``fleet`` worker processes that replay the same schedule over
-    real sockets.  ``profile="cold"`` disables the server's hot-path
-    caches for the whole run (wall time changes, bits never do).
+    With the default ``transport="inproc"`` one client shares the
+    server's event loop (loopback TCP, zero process boundaries); with
+    ``"tcp"`` or ``"uds"`` the same client runs in ``fleet`` spawned
+    worker processes (default 2) over a real socket, at ``uds_path``
+    (default: a fresh temporary directory) for ``uds``.  ``connections``
+    is per client (bounded by its session count).  ``profile="cold"``
+    disables the server's hot-path caches for the whole run (wall time
+    changes, bits never do).
 
     With ``check_serial`` the same mix is replayed through
     :func:`run_mix_serial` and the aggregate fingerprints compared; a
     mismatch (or any shed under the generous default bounds) sets
     ``serial_match`` False.
+
+    :raises repro.serve.fleet.FleetError: if a fleet worker fails or
+        times out.
     """
     if transport not in TRANSPORTS:
         raise ValueError(
@@ -696,38 +777,35 @@ def run_load(
         raise ValueError(
             f"unknown profile {profile!r} (know: {', '.join(PROFILES)})"
         )
-    if transport != "inproc":
-        from repro.serve.fleet import run_fleet
-
-        return run_fleet(
-            mix,
-            transport=transport,
-            fleet=fleet,
-            coalesce=coalesce,
-            tick_s=tick_s,
-            connections=connections,
-            pipeline=pipeline,
-            max_pending_global=max_pending_global,
-            max_pending_per_session=max_pending_per_session,
-            check_serial=check_serial,
-            profile=profile,
-            uds_path=uds_path,
-        )
+    if transport != "uds" and uds_path is not None:
+        raise ValueError("uds_path names the socket of the uds transport")
+    if transport == "inproc":
+        if fleet is not None:
+            raise ValueError("fleet sizes the tcp and uds transports only")
+        fleet = 0
+    elif fleet is None:
+        fleet = 2
+    elif fleet < 1:
+        raise ValueError(f"fleet must be at least 1 worker, got {fleet}")
 
     with contextlib.ExitStack() as stack:
         if profile == "cold":
             stack.enter_context(hotcache.disabled())
-        report = asyncio.run(
-            _run_load_async(
-                mix,
-                coalesce=coalesce,
-                tick_s=tick_s,
-                connections=connections,
-                pipeline=pipeline,
-                max_pending_global=max_pending_global,
-                max_pending_per_session=max_pending_per_session,
-                check_serial=False,
+        if transport == "uds" and uds_path is None:
+            tmp = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-serve-")
             )
+            uds_path = os.path.join(tmp, "serve.sock")
+        config = ServeConfig(
+            transport="uds" if transport == "uds" else "tcp",
+            uds_path=uds_path,
+            coalesce=coalesce,
+            tick_s=tick_s,
+            max_pending_global=max_pending_global,
+            max_pending_per_session=max_pending_per_session,
+        )
+        report = asyncio.run(
+            _serve(mix, config, transport, fleet, connections, pipeline)
         )
     report.profile = profile
     if check_serial:

@@ -357,7 +357,7 @@ class IntersectionServer:
                 else:
                     enqueue(
                         error_reply(
-                            "bad-request", f"internal error: {exc}", request_id
+                            "internal", f"{type(exc).__name__}: {exc}", request_id
                         )
                     )
                 return

@@ -46,6 +46,7 @@ _HEADER = struct.Struct(">I")
 
 #: The closed set of error types a reply may carry.  ``overloaded`` is the
 #: graceful-shedding reply (with ``scope`` = ``"server"`` or ``"session"``);
+#: ``internal`` is a server fault (a code bug, never the client's request);
 #: the rest are request/protocol faults.
 ERROR_TYPES = (
     "bad-frame",
@@ -55,6 +56,7 @@ ERROR_TYPES = (
     "invalid-input",
     "overloaded",
     "shutting-down",
+    "internal",
 )
 
 

@@ -661,3 +661,20 @@ class TestServe:
         document = json.loads(report.read_text())
         assert document["ops_ok"] == 18
         assert document["coalesce"] is True
+
+    @pytest.mark.parametrize("transport", [[], ["--transport", "inproc"]])
+    def test_fleet_without_a_socket_transport_exits_2(self, transport):
+        code, output = run_cli(
+            ["serve", "load", "--fleet", "2"] + transport + self.SMALL
+        )
+        assert code == 2
+        assert "--fleet" in output
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    def test_uds_path_without_the_uds_transport_exits_2(self, transport):
+        code, output = run_cli(
+            ["serve", "load", "--transport", transport,
+             "--uds-path", "/nonexistent/serve.sock"] + self.SMALL
+        )
+        assert code == 2
+        assert "--uds-path" in output

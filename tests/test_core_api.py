@@ -4,6 +4,7 @@ import pytest
 
 from conftest import make_instance
 from repro.core.api import compute_intersection
+from repro.protocols.base import InvalidInput
 
 
 class TestComputeIntersection:
@@ -87,6 +88,14 @@ class TestComputeIntersection:
     def test_element_outside_universe_rejected(self):
         with pytest.raises(ValueError):
             compute_intersection({100}, {1}, universe_size=50)
+
+    @pytest.mark.parametrize("member", ["a", 2.0**70])
+    def test_non_int_member_rejected_when_universe_inferred(self, member):
+        # The universe is inferred only after the int check, so a bad
+        # member is the caller's InvalidInput, not a TypeError or an
+        # AttributeError from the inference.
+        with pytest.raises(InvalidInput, match="alice's element"):
+            compute_intersection([member], [2])
 
     def test_top_level_reexports(self):
         import repro

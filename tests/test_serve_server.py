@@ -166,8 +166,8 @@ class TestControlOps:
             return failed, later, server.coalescer.pending
 
         failed, later, pending = _with_server(ServeConfig(), scenario)
-        assert failed["id"] == 1 and failed["error"]["type"] == "bad-request"
-        assert failed["error"]["message"].startswith("internal error")
+        assert failed["id"] == 1 and failed["error"]["type"] == "internal"
+        assert failed["error"]["message"].startswith("KeyError")
         assert later["id"] == 2 and later["ok"] and later["result"] == len(s & t)
         assert pending == 0
 
