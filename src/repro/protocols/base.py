@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 
+#: Member types the fast path of :func:`validate_set` accepts as they are.
+_INT_TYPES = frozenset((int, bool))
+
+
 class InvalidInput(ValueError):
     """A party's input is not a valid ``INT_k`` set: too many members, a
     member outside ``[n]``, a member that is not an int, or an unhashable
@@ -65,42 +69,34 @@ def validate_set(
     which are caller bugs, not protocol failures; every input fault raises
     :class:`InvalidInput`.
 
-    A frozenset is passed through by reference (no re-freeze copy) and
-    range-checked via ``min``/``max`` instead of a per-element
-    ``isinstance`` loop -- this runs on every trial of every experiment,
-    so the valid-input fast path must stay O(k) with no allocations.  The
-    slow per-element path only runs to produce a precise error message
-    once the cheap checks have already failed.
+    A frozenset is passed through by reference (no re-freeze copy).  The
+    valid-input fast path is three C-level sweeps -- every member's type,
+    then ``min`` and ``max`` for the range -- because this runs on every
+    trial of every experiment and on every served operation, so it must
+    stay O(k) with no allocations.  Every member's type is checked, not
+    only the extremes' types: a float between two ints would pass those.
+    The slow per-element path only runs to produce a precise error
+    message once the cheap checks have already failed.
     """
     as_set = as_input_set(name, raw)
     if len(as_set) > max_set_size:
         raise InvalidInput(
             f"{name}'s set has {len(as_set)} elements; bound is k={max_set_size}"
         )
-    if as_set:
-        try:
-            lo, hi = min(as_set), max(as_set)
-            in_range = (
-                type(lo) is int  # bool passes isinstance(., int); min/max
-                and type(hi) is int  # of a mixed set can hide a stray type
-                and 0 <= lo
-                and hi < universe_size
-            )
-        except TypeError:
-            in_range = False
-        if not in_range:
-            # Slow path: find the exact offender for the error message
-            # (or accept sets that only *look* bad to min/max, e.g.
-            # bools, which are ints by contract).
-            for element in as_set:
-                if (
-                    not isinstance(element, int)
-                    or not 0 <= element < universe_size
-                ):
-                    raise InvalidInput(
-                        f"{name}'s element {element!r} outside universe "
-                        f"[0, {universe_size})"
-                    )
+    if as_set and not (
+        _INT_TYPES.issuperset(map(type, as_set))
+        and 0 <= min(as_set)
+        and max(as_set) < universe_size
+    ):
+        # Slow path: find the exact offender for the error message (or
+        # accept sets that only *look* bad to the type sweep: members of
+        # int subclasses other than bool are still ints).
+        for element in as_set:
+            if not isinstance(element, int) or not 0 <= element < universe_size:
+                raise InvalidInput(
+                    f"{name}'s element {element!r} outside universe "
+                    f"[0, {universe_size})"
+                )
     return as_set
 
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 import asyncio
 import logging
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.api import IntersectionResult
@@ -153,8 +154,9 @@ def one_round_batch_results(
         known to fit the session's universe/size bounds (validated again
         here, exactly like the engine path).
     :param prevalidated: skip re-validation; only for callers that already
-        ran :func:`validate_set_pair` on every pair (the coalescer does,
-        per-operation, so failures stay per-operation).
+        ran :func:`validate_set_pair` on every pair (the coalescer's ops
+        were validated by the server at admission, so a bad op never
+        reaches a batch).
     :returns: per-request :class:`IntersectionResult`, field-for-field
         identical to ``compute_intersection(..., rounds=1)`` on the same
         arguments.
@@ -195,13 +197,12 @@ def one_round_batch_results(
     for index, (s_list, t_list, hash_fn) in enumerate(prepared):
         images_s = images[2 * index]
         images_t = images[2 * index + 1]
-        sent_by_bob = set(images_t)
-        sent_by_alice = set(images_s)
+        # Each party keeps its elements whose image the other party sent.
         alice_output = frozenset(
-            x for x, image in zip(s_list, images_s) if image in sent_by_bob
+            compress(s_list, map(set(images_t).__contains__, images_s))
         )
         bob_output = frozenset(
-            x for x, image in zip(t_list, images_t) if image in sent_by_alice
+            compress(t_list, map(set(images_s).__contains__, images_t))
         )
         # The exact transcript cost: each party sends encode_fixed_list of
         # its sorted hash values -- a gamma-coded count plus output_bits
@@ -251,7 +252,10 @@ def run_scalar_operation(entry: ServedSession, kind: str, alice_set, bob_set):
     operation's accounting record.  This is both the coalescing-disabled
     baseline and the fallback for non-coalescible shapes, so every
     operation is answered from the same two pieces of state regardless of
-    execution strategy.
+    execution strategy.  The sets may be raw (the serial oracle
+    :func:`~repro.serve.loadgen.run_mix_serial` passes lists), so an
+    :class:`~repro.protocols.base.InvalidInput` from the library call
+    still becomes a typed ``invalid-input`` failure.
     """
     session = entry.session
     try:
@@ -272,7 +276,13 @@ def run_scalar_operation(entry: ServedSession, kind: str, alice_set, bob_set):
 
 @dataclass
 class PendingOp:
-    """One accepted operation waiting for the next scheduling tick."""
+    """One admitted operation waiting for the next scheduling tick.
+
+    ``alice_set`` and ``bob_set`` are valid inputs of the session's
+    ``(n, k)`` shape: the server runs :func:`validate_set_pair` at
+    admission and queues the frozensets it returns, so no execution path
+    validates them again.
+    """
 
     entry: ServedSession
     kind: str
@@ -280,6 +290,8 @@ class PendingOp:
     bob_set: Any
     future: "asyncio.Future"
     request_id: Optional[int] = None
+    #: Event-loop time at which :meth:`BatchCoalescer.submit` queued the op.
+    admitted: float = 0.0
     #: Set once the coalescer has answered (or failed) the op.
     answered: bool = False
 
@@ -318,13 +330,17 @@ class CoalescerStats:
 class BatchCoalescer:
     """The scheduling-tick drain loop feeding the batch executor.
 
-    Operations are submitted to an unbounded internal queue (bounds are the
-    server's job -- it sheds *before* submitting, so nothing here ever
-    drops work).  The drain task wakes on the first pending operation,
-    sleeps one scheduling tick to let concurrent sessions' operations
-    arrive, then drains everything queued and executes it: coalescible
+    Operations are submitted to an unbounded internal queue (bounds and
+    input validation are the server's job -- it sheds and rejects *before*
+    submitting, so nothing here ever drops work or meets a bad set).  The
+    drain task wakes on the first pending operation and lets concurrent
+    sessions' operations arrive until one scheduling tick has passed since
+    that operation was admitted -- however late the task itself got to
+    run -- then drains everything queued and executes it: coalescible
     operations as one grouped kernel dispatch, the rest through the scalar
-    path, all in submission order per session.
+    path, all in submission order per session.  Each tick observes its
+    wait (first admission to start of execution) and its execution time in
+    the ``serve.tick.wait_ms`` and ``serve.tick.exec_ms`` histograms.
     """
 
     def __init__(
@@ -390,7 +406,10 @@ class BatchCoalescer:
             )
 
     def submit(self, op: PendingOp) -> None:
-        """Queue one operation (the server already applied its bounds)."""
+        """Queue one operation (the server already applied its bounds and
+        validated its sets) and stamp its admission time: the tick counts
+        from the first queued op's stamp."""
+        op.admitted = asyncio.get_running_loop().time()
         self._pending += 1
         op.entry.pending += 1
         self._queue.put_nowait(op)
@@ -409,19 +428,22 @@ class BatchCoalescer:
             op.future.set_result(value)
 
     async def _drain_loop(self) -> None:
+        loop = asyncio.get_running_loop()
         while True:
             first = await self._queue.get()
-            if self.tick_s > 0:
-                # The scheduling tick: let other sessions' operations land.
-                await asyncio.sleep(self.tick_s)
-            else:
-                await asyncio.sleep(0)
+            # The scheduling tick lets other sessions' operations land.  It
+            # counts from the first op's admission, not from now: a
+            # connection handler admits a whole buffered burst before this
+            # task gets to run, so a full tick from here would idle past it.
+            deadline = first.admitted + self.tick_s
+            await asyncio.sleep(max(0.0, deadline - loop.time()))
             batch = [first]
             while True:
                 try:
                     batch.append(self._queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
+            started = loop.time()
             try:
                 self._execute(batch)
             except Exception as exc:
@@ -435,6 +457,12 @@ class BatchCoalescer:
                 for op in batch:
                     if not op.answered:
                         self._finish(op, error=exc)
+            _metrics.histogram("serve.tick.wait_ms").observe(
+                1e3 * (started - first.admitted)
+            )
+            _metrics.histogram("serve.tick.exec_ms").observe(
+                1e3 * (loop.time() - started)
+            )
 
     # -- execution (synchronous: one tick's work) ---------------------------
 
@@ -481,61 +509,47 @@ class BatchCoalescer:
         self._finish(op, value=(value, record))
 
     def _execute_coalesced(self, ops: List[PendingOp]) -> None:
-        # Pass 1: validate and assign per-operation seeds in submission
-        # order; a session with several operations in one tick consumes
-        # consecutive operation indices, exactly as it would serially.
+        # Pass 1: assign per-operation seeds in submission order; a session
+        # with several operations in one tick consumes consecutive
+        # operation indices, exactly as it would serially.
         next_index: Dict[str, int] = {}
         requests = []
-        runnable: List[Tuple[PendingOp, Any, Any]] = []
         shape_counts: Dict[Tuple[int, int], int] = {}
         for op in ops:
             session = op.entry.session
             key = op.entry.key
             index = next_index.get(key, session.stats().operations)
-            try:
-                s, t = validate_set_pair(
-                    op.alice_set,
-                    op.bob_set,
-                    session.universe_size,
-                    session.max_set_size,
-                )
-            except InvalidInput as exc:
-                self._finish(op, error=ServeError("invalid-input", str(exc)))
-                continue
             next_index[key] = index + 1
             requests.append(
                 (
                     session.universe_size,
                     session.max_set_size,
-                    s,
-                    t,
+                    op.alice_set,
+                    op.bob_set,
                     session.operation_seed(index),
                 )
             )
-            runnable.append((op, s, t))
             shape = (session.universe_size, session.max_set_size)
             shape_counts[shape] = shape_counts.get(shape, 0) + 1
-        if not runnable:
-            return
 
         results = one_round_batch_results(requests, prevalidated=True)
-        lanes = sum(len(request[2]) + len(request[3]) for request in requests)
+        lanes = sum(len(op.alice_set) + len(op.bob_set) for op in ops)
         self.stats.batches += 1
-        self.stats.coalesced_ops += len(runnable)
+        self.stats.coalesced_ops += len(ops)
         self.stats.lanes_total += lanes
         for (universe_size, max_set_size), count in shape_counts.items():
             label = f"one-round/n={universe_size}/k={max_set_size}"
             self.stats.group_sizes[label] = (
                 self.stats.group_sizes.get(label, 0) + count
             )
-        _metrics.counter("serve.ops.coalesced").inc(len(runnable))
+        _metrics.counter("serve.ops.coalesced").inc(len(ops))
         _metrics.counter("serve.batch.dispatches").inc()
         _metrics.histogram("serve.batch.lanes").observe(lanes)
-        _metrics.histogram("serve.batch.ops").observe(len(runnable))
+        _metrics.histogram("serve.batch.ops").observe(len(ops))
         if _OBS.active:
             _OBS.tracer.emit(
                 "serve.batch",
-                ops=len(runnable),
+                ops=len(ops),
                 lanes=lanes,
                 groups=len(shape_counts),
             )
@@ -543,11 +557,17 @@ class BatchCoalescer:
         # Pass 2: bill results back in the same submission order the seeds
         # were assigned in, so per-session histories are order-identical to
         # the scalar path.
-        for (op, s, t), result in zip(runnable, results):
+        self._bill(ops, results)
+
+    def _bill(
+        self, ops: List[PendingOp], results: List[IntersectionResult]
+    ) -> None:
+        """Record, bill and answer pooled results in submission order."""
+        for op, result in zip(ops, results):
             op.entry.session.record_operation(op.kind, result)
             self.registry.bill(op.entry, result)
             record = op.entry.session.stats().history[-1]
-            value = _operation_value(op.kind, s, t, result)
+            value = _operation_value(op.kind, op.alice_set, op.bob_set, result)
             self._finish(op, value=(value, record))
 
     def _execute_tree(self, ops: List[PendingOp]) -> None:
@@ -580,25 +600,14 @@ class BatchCoalescer:
                 # same computation without the lockstep plumbing.
                 self._execute_scalar(group[0])
                 continue
-            # Pass 1: validate and assign per-operation seeds in submission
-            # order, exactly as _execute_coalesced does for one-round ops.
+            # Pass 1: assign per-operation seeds in submission order,
+            # exactly as _execute_coalesced does for one-round ops.
             next_index: Dict[str, int] = {}
             requests = []
-            runnable: List[Tuple[PendingOp, Any, Any]] = []
             for op in group:
                 session = op.entry.session
                 key = op.entry.key
                 index = next_index.get(key, session.stats().operations)
-                try:
-                    s, t = validate_set_pair(
-                        op.alice_set,
-                        op.bob_set,
-                        session.universe_size,
-                        session.max_set_size,
-                    )
-                except InvalidInput as exc:
-                    self._finish(op, error=ServeError("invalid-input", str(exc)))
-                    continue
                 next_index[key] = index + 1
                 effective_rounds = (
                     session.rounds
@@ -606,11 +615,13 @@ class BatchCoalescer:
                     else optimal_rounds(session.max_set_size)
                 )
                 requests.append(
-                    (s, t, session.operation_seed(index), effective_rounds)
+                    (
+                        op.alice_set,
+                        op.bob_set,
+                        session.operation_seed(index),
+                        effective_rounds,
+                    )
                 )
-                runnable.append((op, s, t))
-            if not runnable:
-                continue
 
             protocol = self._tree_protocol(
                 universe_size, max_set_size, protocol_rounds
@@ -629,27 +640,22 @@ class BatchCoalescer:
                     )
                 )
             pooled_groups += 1
-            total_ops += len(runnable)
+            total_ops += len(group)
             self.stats.batches += 1
-            self.stats.coalesced_ops += len(runnable)
+            self.stats.coalesced_ops += len(group)
             label = (
                 f"tree/n={universe_size}/k={max_set_size}/r={protocol_rounds}"
             )
             self.stats.group_sizes[label] = (
-                self.stats.group_sizes.get(label, 0) + len(runnable)
+                self.stats.group_sizes.get(label, 0) + len(group)
             )
-            _metrics.counter("serve.ops.coalesced").inc(len(runnable))
+            _metrics.counter("serve.ops.coalesced").inc(len(group))
             _metrics.counter("serve.batch.dispatches").inc()
-            _metrics.histogram("serve.batch.ops").observe(len(runnable))
+            _metrics.histogram("serve.batch.ops").observe(len(group))
 
             # Pass 2: bill in the submission order the seeds were assigned
             # in, so per-session histories match the scalar path.
-            for (op, s, t), result in zip(runnable, results):
-                op.entry.session.record_operation(op.kind, result)
-                self.registry.bill(op.entry, result)
-                record = op.entry.session.stats().history[-1]
-                value = _operation_value(op.kind, s, t, result)
-                self._finish(op, value=(value, record))
+            self._bill(group, results)
 
         if total_ops:
             self.stats.lanes_total += batch_stats.affine_lanes

@@ -29,7 +29,7 @@ import os
 import random
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.perf.executor import derive_seed
@@ -323,34 +323,22 @@ class LoadReport:
     shed_latencies_ms: List[float] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "mix": self.mix_name,
-            "coalesce": self.coalesce,
-            "sessions": self.sessions,
-            "ops_total": self.ops_total,
-            "ops_ok": self.ops_ok,
-            "shed": self.shed,
-            "degraded": self.degraded,
-            "errors": len(self.errors),
-            "wall_s": self.wall_s,
-            "sessions_per_sec": self.sessions_per_sec,
-            "ops_per_sec": self.ops_per_sec,
-            "p50_ms": self.p50_ms,
-            "p99_ms": self.p99_ms,
-            "p999_ms": self.p999_ms,
-            "shed_p50_ms": self.shed_p50_ms,
-            "shed_p99_ms": self.shed_p99_ms,
-            "coalesced_ops": self.coalesced_ops,
-            "scalar_ops": self.scalar_ops,
-            "lanes_per_batch": self.lanes_per_batch,
-            "batches": self.batches,
-            "fingerprint": self.fingerprint,
-            "serial_match": self.serial_match,
-            "transport": self.transport,
-            "fleet": self.fleet,
-            "profile": self.profile,
-            "workers": self.workers,
+        """The JSON report (``--report-out``): every field in declaration
+        order, ``mix_name`` as ``mix``, ``errors`` as a count, and no raw
+        latency samples (the percentiles summarize them)."""
+        document = {
+            _REPORT_KEYS.get(spec.name, spec.name): getattr(self, spec.name)
+            for spec in fields(self)
+            if spec.name not in _UNREPORTED_FIELDS
         }
+        document["errors"] = len(self.errors)
+        return document
+
+
+#: :class:`LoadReport` fields renamed in :meth:`LoadReport.as_dict`.
+_REPORT_KEYS = {"mix_name": "mix"}
+#: :class:`LoadReport` fields kept out of :meth:`LoadReport.as_dict`.
+_UNREPORTED_FIELDS = frozenset(("latencies_ms", "shed_latencies_ms"))
 
 
 def _percentile(sorted_values: Sequence[float], q: float) -> float:

@@ -19,6 +19,10 @@ typed ``overloaded`` reply (with ``scope`` = ``"server"`` or
 ``"session"``) immediately, the shed is counted per session and globally,
 and nothing is ever silently dropped.  Admitted operations are never
 shed -- once queued, they are answered.
+
+Admission also validates an operation's sets against its session's
+``(n, k)``: a bad set gets a typed ``invalid-input`` reply at once, like
+a shed op, and the coalescer only ever queues valid frozensets.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from fractions import Fraction
 from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.obs import metrics as _metrics
+from repro.protocols.base import InvalidInput, validate_set_pair
 from repro.serve.coalescer import OP_KINDS, BatchCoalescer, PendingOp
 from repro.serve.registry import SessionRegistry
 from repro.serve.wire import (
@@ -71,7 +76,9 @@ class ServeConfig:
     #: behaviour bit-identical and is only for baselines and bisection.
     coalesce: bool = True
     #: Scheduling tick: how long the coalescer waits after the first
-    #: pending operation for concurrent sessions' operations to land.
+    #: pending operation's admission for concurrent sessions' operations
+    #: to land.  It counts from that admission, not from when the drain
+    #: task next runs: time spent admitting a burst is part of the tick.
     tick_s: float = 0.002
     #: Global bound on accepted-but-unanswered operations.
     max_pending_global: int = 1024
@@ -90,9 +97,9 @@ class ServeConfig:
 
 
 def _require_list(value: Any, name: str) -> list:
-    # Shape check only: element types are enforced by the execution path's
-    # validate_set_pair (surfacing as typed ``invalid-input`` replies), so
-    # the hot admission path does not walk every element twice.
+    # Shape check only: a non-array is a malformed request (``bad-request``);
+    # the members are checked next, by admission's validate_set_pair, and a
+    # bad member is the client's input fault (``invalid-input``).
     if not isinstance(value, list):
         raise ServeError(
             "bad-request", f"{name!r} must be a JSON array of integers"
@@ -225,6 +232,11 @@ class IntersectionServer:
             closed = False
             while not closed:
                 frame = await out_queue.get()
+                if writer.is_closing():
+                    # The client reset the connection: its replies are
+                    # lost, and writing them to the dead transport would
+                    # only log a warning per write.
+                    return
                 wrote = False
                 while True:
                     if frame == b"":
@@ -253,6 +265,10 @@ class IntersectionServer:
                     # The transport contract is broken; one typed reply,
                     # then the connection is unusable.
                     enqueue(error_reply("bad-frame", str(exc)))
+                    break
+                except ConnectionError:
+                    # A reset (a client that exited with replies unread) is
+                    # EOF: the client has gone, its admitted ops still run.
                     break
                 if request is None:
                     break
@@ -303,7 +319,15 @@ class IntersectionServer:
                 pass
 
     def _admit(self, op: str, request: Dict[str, Any]) -> "asyncio.Future":
-        """Admission control: bound checks, then queue for the next tick."""
+        """Admission control: bound checks, then input validation, then
+        queue for the next tick.
+
+        A shed op pays no validation.  A bad set is answered at once with
+        ``invalid-input``, like a shed op: it consumes no operation index
+        and never enters the queue.  Validating here rather than in the
+        tick overlaps the tick's wait, and the queued frozensets are what
+        every execution path runs on.
+        """
         if self._closing:
             raise ServeError("shutting-down", "server is stopping")
         key = request.get("session")
@@ -329,8 +353,16 @@ class IntersectionServer:
                 f"({self.config.max_pending_per_session} pending)",
                 scope="session",
             )
-        alice = _require_list(request.get("alice"), "alice")
-        bob = _require_list(request.get("bob"), "bob")
+        session = entry.session
+        try:
+            alice, bob = validate_set_pair(
+                _require_list(request.get("alice"), "alice"),
+                _require_list(request.get("bob"), "bob"),
+                session.universe_size,
+                session.max_set_size,
+            )
+        except InvalidInput as exc:
+            raise ServeError("invalid-input", str(exc)) from None
         future = asyncio.get_running_loop().create_future()
         self.coalescer.submit(
             PendingOp(

@@ -1,5 +1,8 @@
 """Tests for the protocol base layer (validation, outcomes, subcontexts)."""
 
+import re
+from fractions import Fraction
+
 import pytest
 
 from repro.comm.engine import PartyContext
@@ -58,6 +61,17 @@ class TestValidation:
         # bool is an int subtype; both code paths must agree on that.
         s, _ = validate_set_pair(frozenset({True, 3}), [], 10, 4)
         assert s == frozenset({1, 3})
+
+    @pytest.mark.parametrize("stray", [2.5, Fraction(5, 2)])
+    def test_rejects_a_non_int_between_min_and_max(self, stray):
+        # min and max of the set are valid ints; only a sweep of every
+        # member's type finds the stray one, and the error names it.
+        with pytest.raises(InvalidInput, match=re.escape(f"element {stray!r} ")):
+            validate_set("a", [1, stray, 3], universe_size=10, max_set_size=5)
+
+    def test_accepts_a_bool_between_min_and_max(self):
+        s = validate_set("a", [0, True, 3], universe_size=10, max_set_size=5)
+        assert s == frozenset({0, 1, 3})
 
     def test_frozensets_pass_through_without_copy(self):
         # The per-trial fast path: already-frozen inputs of k=4096 elements

@@ -3,6 +3,7 @@ the capacity report, the latency histogram artifact, and the client
 pipeline's failure behavior)."""
 
 import asyncio
+import dataclasses
 import json
 
 import pytest
@@ -11,6 +12,7 @@ from repro.perf.executor import derive_seed
 from repro.serve import DEFAULT_MIX, LoadMix, mix_from_dict, mix_to_dict, run_load
 from repro.serve.loadgen import (
     HISTOGRAM_BUCKETS_MS,
+    LoadReport,
     _client_run,
     generate_schedule,
     latency_histogram,
@@ -93,6 +95,27 @@ class TestRunLoad:
         document = report.as_dict()
         assert json.dumps(document)  # JSON-ready (no nan, no sets)
         assert document["ops_ok"] == 24
+
+    def test_report_document_has_every_field(self):
+        # A field added to LoadReport reaches --report-out without a
+        # second copy of its name; only the documented exceptions differ.
+        report = LoadReport(
+            mix_name="m", coalesce=True, sessions=1, ops_total=3, ops_ok=1,
+            shed=1, errors=[{"type": "internal"}], latencies_ms=[1.0],
+            shed_latencies_ms=[0.1],
+        )
+        document = report.as_dict()
+        names = [spec.name for spec in dataclasses.fields(LoadReport)]
+        unreported = {"mix_name", "latencies_ms", "shed_latencies_ms"}
+        assert list(document) == ["mix"] + [
+            name for name in names[1:] if name not in unreported
+        ]
+        assert document["mix"] == "m" and document["errors"] == 1
+        assert all(
+            document[name] == getattr(report, name)
+            for name in names
+            if name not in unreported | {"errors"}
+        )
 
 
 async def _drive_client(handler, op_count, pipeline=4):

@@ -6,11 +6,15 @@ clients take, including the backpressure and typed-shedding contract.
 """
 
 import asyncio
+import socket
+import struct
 
 import pytest
 
 from conftest import make_instance
+from repro.obs import metrics
 from repro.serve import IntersectionServer, ServeConfig
+from repro.serve.loadgen import LoadMix, generate_schedule, run_mix_serial
 from repro.serve.wire import FrameReader, encode_frame
 from repro.util import hotcache
 
@@ -25,6 +29,17 @@ async def _ask(frames, writer, request):
     writer.write(encode_frame(request))
     await writer.drain()
     return await frames.next()
+
+
+async def _until(predicate, timeout=30.0):
+    """Poll until ``predicate()`` holds, bounded so that a fault fails the
+    test instead of hanging it."""
+
+    async def poll():
+        while not predicate():
+            await asyncio.sleep(0.005)
+
+    await asyncio.wait_for(poll(), timeout)
 
 
 def _with_server(config, scenario):
@@ -105,8 +120,9 @@ class TestControlOps:
         _with_server(ServeConfig(), scenario)
 
     def test_invalid_elements_get_typed_reply(self):
-        # Admission is shape-only; element bounds surface from the
-        # execution path as a typed invalid-input reply.
+        # Admission validates every member against the session's (n, k):
+        # a bad one, even a float between two ints, is a typed
+        # invalid-input reply; a non-array is a malformed request.
         async def scenario(server):
             frames, writer = await _client(server)
             await _ask(
@@ -115,7 +131,7 @@ class TestControlOps:
                  "rounds": 1},
             )
             replies = []
-            for alice in ([1 << 30], ["x"], [[1]]):
+            for alice in ([1 << 30], ["x"], [[1]], [1, 2.5, 3]):
                 replies.append(
                     await _ask(
                         frames, writer,
@@ -133,6 +149,58 @@ class TestControlOps:
         replies, not_a_list = _with_server(ServeConfig(), scenario)
         assert all(reply["error"]["type"] == "invalid-input" for reply in replies)
         assert not_a_list["error"]["type"] == "bad-request"
+
+    def test_invalid_input_fails_only_that_op(self):
+        # One tick holds a valid op on s0, an invalid op on s1, then a
+        # valid op on s1.  Admission answers the invalid op at once: it
+        # takes no operation index and never enters the queue, so s1's
+        # valid op is the session's op 0 and the counters match the
+        # serial oracle's run of the valid ops alone.
+        mix = LoadMix(
+            seed=3, sessions=2, ops_per_session=1, universe_size=1 << 20,
+            op_weights=(("size", 1.0),),
+        )
+        on_s0, on_s1 = generate_schedule(mix)
+        s0, s1 = mix.session_key(0), mix.session_key(1)
+
+        async def scenario(server):
+            frames, writer = await _client(server)
+            for index in range(mix.sessions):
+                await _ask(
+                    frames, writer,
+                    {"op": "open", "session": mix.session_key(index),
+                     "universe": mix.universe_size,
+                     "k": mix.session_set_size(index), "rounds": mix.rounds,
+                     "seed": mix.session_seed(index)},
+                )
+            requests = [
+                {"op": "size", "session": s0,
+                 "alice": list(on_s0.alice), "bob": list(on_s0.bob)},
+                {"op": "size", "session": s1, "alice": [1 << 40], "bob": []},
+                {"op": "size", "session": s1,
+                 "alice": list(on_s1.alice), "bob": list(on_s1.bob)},
+            ]
+            for request_id, request in enumerate(requests):
+                writer.write(encode_frame(dict(request, id=request_id)))
+            await writer.drain()
+            replies = {}
+            for _ in requests:
+                reply = await frames.next()
+                replies[reply["id"]] = reply
+            info = await _ask(frames, writer, {"op": "info"})
+            writer.close()
+            return replies, info["info"]
+
+        replies, info = _with_server(ServeConfig(tick_s=0.05), scenario)
+        good, bad, good2 = replies[0], replies[1], replies[2]
+        assert bad["error"]["type"] == "invalid-input"
+        assert good["result"] == len(set(on_s0.alice) & set(on_s0.bob))
+        assert good2["result"] == len(set(on_s1.alice) & set(on_s1.bob))
+        assert good2["index"] == 0
+        assert info["coalescer"]["dispatches"] == 1
+        assert info["coalescer"]["coalesced_ops"] == 2
+        assert info["pending"] == 0
+        assert info["fingerprint"] == run_mix_serial(mix)["fingerprint"]
 
     def test_code_error_gets_an_internal_error_reply_and_serving_goes_on(
         self, rng, monkeypatch
@@ -231,6 +299,44 @@ class TestMetricsOp:
         )
 
 
+    def test_each_tick_is_observed(self, rng):
+        # The live metrics op shows every tick's wait (first admission to
+        # start of execution) and execution time.
+        tick_s = 0.01
+        pairs = [make_instance(rng, 1 << 20, 64, 0.5) for _ in range(12)]
+
+        async def scenario(server):
+            metrics.reset_metrics()
+            frames, writer = await _client(server)
+            for key in ("a", "b"):
+                await _ask(
+                    frames, writer,
+                    {"op": "open", "session": key, "universe": 1 << 20,
+                     "k": 64, "rounds": 1},
+                )
+            for burst in (pairs[:6], pairs[6:]):
+                for i, (s, t) in enumerate(burst):
+                    writer.write(encode_frame(
+                        {"op": "size", "id": i, "session": "ab"[i % 2],
+                         "alice": sorted(s), "bob": sorted(t)}
+                    ))
+                await writer.drain()
+                for _ in burst:
+                    assert (await frames.next())["ok"]
+            live = await _ask(frames, writer, {"op": "metrics"})
+            writer.close()
+            return live["metrics"]["snapshot"], server.coalescer.stats
+
+        snapshot, stats = _with_server(ServeConfig(tick_s=tick_s), scenario)
+        wait = snapshot["serve.tick.wait_ms"]
+        execute = snapshot["serve.tick.exec_ms"]
+        assert stats.dispatches >= 2
+        assert wait["count"] == execute["count"] == stats.dispatches
+        # asyncio may fire a timer up to one clock resolution early.
+        assert wait["min"] >= 1e3 * tick_s - 1e-6
+        assert execute["min"] > 0
+
+
 class TestBackpressure:
     def test_per_session_overload_is_typed_and_scoped(self, rng):
         s, t = make_instance(rng, 1 << 20, 64, 0.5)
@@ -315,6 +421,61 @@ class TestBackpressure:
 
         reply = _with_server(ServeConfig(tick_s=0.001), scenario)
         assert reply["ok"] and reply["result"] == len(s & t)
+
+
+    def test_connection_reset_is_eof(self, rng, caplog):
+        # A client that exits with replies unread resets the connection.
+        # The server treats that as EOF: the handler ends quietly, the
+        # admitted ops still execute and bill, their replies are dropped
+        # without a write to the dead transport (asyncio warns from the
+        # fifth such write on), and serving goes on.
+        s, t = make_instance(rng, 1 << 20, 64, 0.5)
+        ops = 8
+
+        async def scenario(server):
+            reports = []
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(
+                lambda _loop, context: reports.append(context)
+            )
+            frames, writer = await _client(server)
+            await _ask(
+                frames, writer,
+                {"op": "open", "session": "a", "universe": 1 << 20,
+                 "k": 64, "rounds": 1},
+            )
+            for request_id in range(ops):
+                writer.write(encode_frame(
+                    {"op": "size", "id": request_id, "session": "a",
+                     "alice": sorted(s), "bob": sorted(t)}
+                ))
+            await writer.drain()
+            await _until(lambda: server.coalescer.pending == ops)
+            # Linger on with a zero timeout: close() sends a reset.
+            writer.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            writer.close()
+            await _until(lambda: server.coalescer.pending == 0)
+            frames, writer = await _client(server)
+            second = await _ask(
+                frames, writer,
+                {"op": "size", "id": 9, "session": "a",
+                 "alice": sorted(s), "bob": sorted(t)},
+            )
+            writer.close()
+            loop.set_exception_handler(None)
+            logged = [r.getMessage() for r in caplog.records]
+            operations = server.registry.get("a").session.stats().operations
+            return reports, logged, second, operations
+
+        reports, logged, second, operations = _with_server(
+            ServeConfig(tick_s=0.05), scenario
+        )
+        assert reports == [] and logged == []
+        assert operations == ops + 1
+        assert second["ok"] and second["result"] == len(s & t)
+        assert second["index"] == ops
 
 
 class TestUnixTransport:
