@@ -15,6 +15,7 @@ by the same party (with nothing received in between) count as one message.
 """
 
 from repro.comm.engine import (
+    Party,
     PartyContext,
     Recv,
     Send,
@@ -35,6 +36,7 @@ __all__ = [
     "run_batched",
     "render_transcript",
     "summarize_by_sender",
+    "Party",
     "PartyContext",
     "Recv",
     "Send",

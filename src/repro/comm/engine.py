@@ -11,7 +11,9 @@ and yielding effects:
 The party's ``return`` value is its protocol output.  The engine
 (:func:`run_two_party`) interleaves the two generators -- running each until
 it blocks on an empty inbox -- delivers payloads in FIFO order, and records
-every send in a :class:`~repro.comm.transcript.Transcript`.
+every send in a :class:`~repro.comm.transcript.Transcript`.  The stepping
+itself is :class:`Party`, which every ``Send``/``Recv`` driver in the
+package shares; the engine adds its channel and its deadlock checks.
 
 This structure enforces the communication model *by construction*: the only
 values that cross between the two coroutines are the ``Send`` payloads, so a
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Generator, Optional
+from typing import Any, Callable, Deque, Generator, Optional
 
 from repro.comm.errors import ProtocolAborted, ProtocolDeadlock, ProtocolViolation
 from repro.comm.transcript import Transcript
@@ -50,8 +52,10 @@ __all__ = [
     "Send",
     "Recv",
     "PartyContext",
+    "Party",
     "TwoPartyOutcome",
     "PartyFn",
+    "pair_finished",
     "run_two_party",
 ]
 
@@ -117,18 +121,122 @@ class TwoPartyOutcome:
         return self.transcript.num_messages
 
 
-class _PartyState:
-    """Book-keeping for one running party coroutine."""
+#: :attr:`Party.effect` before the party's first run.
+_START = object()
+
+
+class Party:
+    """One ``Send``/``Recv`` party coroutine, stepped by every driver.
+
+    The engine, :func:`~repro.comm.parallel.run_batched`,
+    :class:`~repro.multiparty.network.TwoPartyAdapter` and the serve
+    layer's round barrier all step their parties through :meth:`run`; what
+    a driver keeps for itself is its channel (the ``deliver`` callable)
+    and what it does when a party stops.
+
+    :param role: the party's name in error messages.
+    :param generator: the party coroutine.  It is resumed only through its
+        ``send`` method, so any object with generator-style ``send`` works.
+    """
+
+    __slots__ = ("role", "generator", "inbox", "effect", "done", "output")
 
     def __init__(self, role: str, generator: Generator) -> None:
         self.role = role
         self.generator = generator
+        #: Payloads delivered to the party and not yet received, in order.
         self.inbox: Deque[BitString] = deque()
-        self.started = False
+        #: The effect the party stopped at: ``Recv()`` when blocked on an
+        #: empty inbox, a foreign effect left for the driver, ``None`` once
+        #: done.
+        self.effect: Any = _START
         self.done = False
         self.output: Any = None
-        # The effect the party is currently blocked on (None = runnable).
-        self.pending_effect: Optional[object] = None
+
+    def resume(self, value: Any) -> None:
+        """Send ``value`` into the coroutine and keep what it yields next,
+        unhandled: a driver answers a foreign effect with this, and
+        ``resume(None)`` starts a party without running it on."""
+        try:
+            self.effect = self.generator.send(value)
+        except StopIteration as stop:
+            self.done = True
+            self.output = stop.value
+            self.effect = None
+
+    def run(self, deliver: Callable[[BitString], Any]) -> bool:
+        """Resume the party until it finishes, blocks on ``Recv`` with an
+        empty inbox, or yields a foreign effect.
+
+        A party starts on its first run.  Each ``Send`` payload goes to
+        ``deliver`` before the party resumes; each ``Recv`` takes the
+        oldest inbox payload.
+
+        :returns: ``True`` when the party stopped on a foreign effect,
+            which stays in :attr:`effect` for the caller (answer it with
+            :meth:`resume`); ``False`` when it is done or blocked.
+        """
+        if self.done:
+            return False
+        send = self.generator.send
+        inbox = self.inbox
+        effect = self.effect
+        try:
+            if effect is _START:
+                effect = send(None)
+            while True:
+                if type(effect) is Send:
+                    deliver(effect.payload)
+                    effect = send(None)
+                elif type(effect) is not Recv:
+                    self.effect = effect
+                    return True
+                elif inbox:
+                    effect = send(inbox.popleft())
+                else:
+                    break
+        except StopIteration as stop:
+            self.done = True
+            self.output = stop.value
+            effect = None
+        self.effect = effect
+        return False
+
+    def violation(self, expected: str = "Send(...) or Recv()") -> ProtocolViolation:
+        """The error for a party stopped on an effect its driver does not
+        handle."""
+        return ProtocolViolation(
+            f"{self.role} yielded {self.effect!r}; expected {expected}"
+        )
+
+
+def pair_finished(alice: Party, bob: Party) -> bool:
+    """Whether a pass that ran Alice, then Bob, until blocked finished the
+    pair: the engine's deadlock and leftover-inbox checks, shared by every
+    driver that steps a pair in that order.
+
+    :raises ProtocolDeadlock: neither party can move (mismatched
+        send/receive structure).
+    :raises ProtocolViolation: both finished, one with payloads left in
+        its inbox.
+    """
+    if alice.done and bob.done:
+        for party in (alice, bob):
+            if party.inbox:
+                raise ProtocolViolation(
+                    f"{party.role} finished with {len(party.inbox)} "
+                    f"undelivered payload(s) in its inbox"
+                )
+        return True
+    # Bob ran last and is done or blocked on an empty inbox, so only Alice
+    # can have a payload left to receive.
+    if alice.done or not alice.inbox:
+        blocked = [party.role for party in (alice, bob) if not party.done]
+        raise ProtocolDeadlock(
+            f"deadlock: parties {blocked} blocked on empty inboxes "
+            f"(mismatched send/receive structure)"
+        )
+    return False
 
 
 def run_two_party(
@@ -192,31 +300,28 @@ def run_two_party(
     if _OBS.active:
         _OBS.tracer.emit("engine.start")
 
-    states: Dict[str, _PartyState] = {
-        ALICE: _PartyState(
-            ALICE,
-            alice_fn(
-                PartyContext(
-                    role=ALICE,
-                    input=alice_input,
-                    shared=shared_randomness,
-                    private=PrivateRandomness(alice_private_seed),
-                )
-            ),
+    alice = Party(
+        ALICE,
+        alice_fn(
+            PartyContext(
+                role=ALICE,
+                input=alice_input,
+                shared=shared_randomness,
+                private=PrivateRandomness(alice_private_seed),
+            )
         ),
-        BOB: _PartyState(
-            BOB,
-            bob_fn(
-                PartyContext(
-                    role=BOB,
-                    input=bob_input,
-                    shared=shared_randomness,
-                    private=PrivateRandomness(bob_private_seed),
-                )
-            ),
+    )
+    bob = Party(
+        BOB,
+        bob_fn(
+            PartyContext(
+                role=BOB,
+                input=bob_input,
+                shared=shared_randomness,
+                private=PrivateRandomness(bob_private_seed),
+            )
         ),
-    }
-    peers = {ALICE: BOB, BOB: ALICE}
+    )
     # Hot path: every Send flows through these; bind them once.  Payloads
     # are byte-backed BitStrings recorded and delivered by reference, so
     # the engine never re-materializes message bytes per send.
@@ -228,87 +333,41 @@ def run_two_party(
     if injector is None and _FAULTS.active:
         injector = _FAULTS.plan.inject_two_party
 
-    def advance(state: _PartyState, value: Any) -> None:
-        """Resume the coroutine with ``value``; stash the next effect."""
-        try:
-            if not state.started:
-                state.started = True
-                effect = next(state.generator)
+    def channel(sender: str, inbox: Deque[BitString]) -> Callable[[BitString], None]:
+        """The wire from ``sender`` into the peer's ``inbox``."""
+
+        def deliver(payload: BitString) -> None:
+            record_send(sender, payload)
+            if (
+                max_total_bits is not None
+                and record.total_bits - budget_base > max_total_bits
+            ):
+                raise ProtocolAborted(
+                    f"communication budget exceeded at "
+                    f"{record.total_bits - budget_base} bits",
+                    bits_used=record.total_bits - budget_base,
+                    budget=max_total_bits,
+                )
+            if injector is None:
+                inbox.append(payload)
+                return
+            delivered = injector(sender, payload)
+            if isinstance(delivered, BitString):
+                inbox.append(delivered)
             else:
-                effect = state.generator.send(value)
-        except StopIteration as stop:
-            state.done = True
-            state.output = stop.value
-            state.pending_effect = None
-            return
-        if not isinstance(effect, (Send, Recv)):
-            raise ProtocolViolation(
-                f"{state.role} yielded {effect!r}; expected Send(...) or Recv()"
-            )
-        state.pending_effect = effect
+                # Structural faults: a list of deliveries (empty =
+                # dropped, several = duplicated).
+                inbox.extend(delivered)
 
-    def run_until_blocked(state: _PartyState) -> bool:
-        """Drive one party as far as it can go; True if it made progress."""
-        progressed = False
-        while not state.done:
-            if not state.started:
-                advance(state, None)
-                progressed = True
-                continue
-            effect = state.pending_effect
-            if isinstance(effect, Send):
-                record_send(state.role, effect.payload)
-                if (
-                    max_total_bits is not None
-                    and record.total_bits - budget_base > max_total_bits
-                ):
-                    raise ProtocolAborted(
-                        f"communication budget exceeded at "
-                        f"{record.total_bits - budget_base} bits",
-                        bits_used=record.total_bits - budget_base,
-                        budget=max_total_bits,
-                    )
-                if injector is None:
-                    states[peers[state.role]].inbox.append(effect.payload)
-                else:
-                    delivered = injector(state.role, effect.payload)
-                    inbox = states[peers[state.role]].inbox
-                    if isinstance(delivered, BitString):
-                        inbox.append(delivered)
-                    else:
-                        # Structural faults: a list of deliveries (empty =
-                        # dropped, several = duplicated).
-                        inbox.extend(delivered)
-                advance(state, None)
-                progressed = True
-            elif isinstance(effect, Recv):
-                if state.inbox:
-                    advance(state, state.inbox.popleft())
-                    progressed = True
-                else:
-                    break  # blocked on an empty inbox
-            else:  # pragma: no cover - advance() already validated
-                raise ProtocolViolation(f"unhandled effect {effect!r}")
-        return progressed
+        return deliver
 
-    while not (states[ALICE].done and states[BOB].done):
-        made_progress = False
-        for role in (ALICE, BOB):
-            if run_until_blocked(states[role]):
-                made_progress = True
-        if not made_progress:
-            blocked = [r for r, s in states.items() if not s.done]
-            raise ProtocolDeadlock(
-                f"deadlock: parties {blocked} blocked on empty inboxes "
-                f"(mismatched send/receive structure)"
-            )
-
-    for state in states.values():
-        if state.inbox:
-            raise ProtocolViolation(
-                f"{state.role} finished with {len(state.inbox)} undelivered "
-                f"payload(s) in its inbox"
-            )
+    steps = ((alice, channel(ALICE, bob.inbox)), (bob, channel(BOB, alice.inbox)))
+    while True:
+        for party, deliver in steps:
+            if party.run(deliver):
+                raise party.violation()
+        if pair_finished(alice, bob):
+            break
 
     if _OBS.active:
         # Run-relative totals: with a composed (pre-populated) transcript
@@ -328,7 +387,5 @@ def run_two_party(
             )
 
     return TwoPartyOutcome(
-        alice_output=states[ALICE].output,
-        bob_output=states[BOB].output,
-        transcript=record,
+        alice_output=alice.output, bob_output=bob.output, transcript=record
     )

@@ -19,7 +19,10 @@ for protocol authors:
 their traffic into ``num_messages`` combined messages -- the same round
 count as a single instance -- with self-delimiting per-instance framing
 (gamma-coded chunk counts and lengths, ``O(log)`` bits of overhead per
-chunk).
+chunk).  Each sub-coroutine is stepped by the engine's
+:class:`~repro.comm.engine.Party`, so only the chunk framing lives here:
+a sub-coroutine's sends buffer until its side's next combined message,
+and the chunks it receives wait in its inbox.
 
 Contract: every sub-protocol must be message-alternating with Alice
 sending first, and take exactly ``num_messages`` messages (homogeneous
@@ -31,64 +34,11 @@ from __future__ import annotations
 
 from typing import Any, Generator, List, Sequence
 
-from repro.comm.engine import PartyContext, Recv, Send
+from repro.comm.engine import Party, PartyContext, Recv, Send
 from repro.comm.errors import ProtocolViolation
 from repro.util.bits import BitReader, BitString, BitWriter
 
 __all__ = ["run_batched"]
-
-
-class _Slot:
-    """Book-keeping for one sub-coroutine: the pending effect it is blocked
-    on, plus a queue for chunks that arrived while it was not receiving.
-
-    A deliberately thin replacement for driving each instance through a
-    full :class:`~repro.multiparty.network.TwoPartyAdapter`: the combinator
-    resumes every sub-coroutine a handful of times per combined message,
-    so per-resume overhead multiplies by the batch size.
-    """
-
-    __slots__ = ("gen", "effect", "done", "output", "queue")
-
-    def __init__(self, gen: Generator) -> None:
-        self.gen = gen
-        self.done = False
-        self.output: Any = None
-        self.queue: List[BitString] = []
-        try:
-            self.effect = next(gen)
-        except StopIteration as stop:
-            self.done = True
-            self.output = stop.value
-            self.effect = None
-
-
-def _drain(slot: _Slot, sink: List[BitString]) -> None:
-    """Advance ``slot`` until it blocks on a Recv with an empty queue or
-    finishes; Send payloads append to ``sink``, queued chunks feed Recvs."""
-    gen = slot.gen
-    effect = slot.effect
-    queue = slot.queue
-    try:
-        while True:
-            if isinstance(effect, Send):
-                sink.append(effect.payload)
-                effect = gen.send(None)
-            elif isinstance(effect, Recv):
-                if queue:
-                    effect = gen.send(queue.pop(0))
-                else:
-                    slot.effect = effect
-                    return
-            else:
-                raise ProtocolViolation(
-                    f"batched sub-protocol yielded {effect!r}; "
-                    f"expected Send(...) or Recv()"
-                )
-    except StopIteration as stop:
-        slot.done = True
-        slot.output = stop.value
-        slot.effect = None
 
 
 def run_batched(
@@ -109,10 +59,14 @@ def run_batched(
         contract (sent during a receive round beyond buffering, or failed
         to finish within ``num_messages`` messages).
     """
-    slots = [_Slot(coroutine) for coroutine in coroutines]
+    parties = [Party("batched sub-protocol", coroutine) for coroutine in coroutines]
+    for party in parties:
+        # Started here, so each instance runs up to its first effect in
+        # instance order before any of them runs on.
+        party.resume(None)
     # Sends produced in reaction to a receive belong to OUR next combined
     # message; they buffer here until that round comes up.
-    pending: List[List[BitString]] = [[] for _ in slots]
+    pending: List[List[BitString]] = [[] for _ in parties]
 
     for round_index in range(num_messages):
         alice_sends = round_index % 2 == 0
@@ -120,9 +74,9 @@ def run_batched(
         if i_send:
             writer = BitWriter()
             write_frame = writer.write_chunk_frame
-            for slot, chunks in zip(slots, pending):
-                if not slot.done:
-                    _drain(slot, chunks)
+            for party, chunks in zip(parties, pending):
+                if party.run(chunks.append):
+                    raise party.violation()
                 write_frame(chunks)
                 chunks.clear()
             yield Send(writer.finish())
@@ -130,17 +84,15 @@ def run_batched(
             payload = yield Recv()
             reader = BitReader(payload)
             read_frame = reader.read_chunk_frame
-            for slot, buffered in zip(slots, pending):
-                chunks = read_frame()
-                if chunks:
-                    slot.queue.extend(chunks)
-                if slot.queue and not slot.done:
-                    _drain(slot, buffered)
+            for party, buffered in zip(parties, pending):
+                party.inbox.extend(read_frame())
+                if party.inbox and party.run(buffered.append):
+                    raise party.violation()
             reader.expect_exhausted()
 
     outputs: List[Any] = []
-    for index, slot in enumerate(slots):
-        if not slot.done:
+    for index, party in enumerate(parties):
+        if not party.done:
             raise ProtocolViolation(
                 f"batched sub-protocol {index} did not finish within "
                 f"{num_messages} messages"
@@ -150,5 +102,5 @@ def run_batched(
                 f"batched sub-protocol {index} has {len(pending[index])} "
                 f"unsent chunk(s) after the final round"
             )
-        outputs.append(slot.output)
+        outputs.append(party.output)
     return outputs

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
 __all__ = ["Summary", "summarize", "TrialAggregator", "TrialReport"]
 
@@ -136,16 +136,3 @@ class TrialAggregator:
             messages=summarize(self._messages),
         )
 
-
-def run_trials(
-    run_once: Callable[[int], tuple],
-    trials: int,
-    *,
-    first_seed: int = 0,
-) -> TrialReport:
-    """Drive ``run_once(seed) -> (bits, messages, correct)`` over many seeds."""
-    aggregator = TrialAggregator()
-    for offset in range(trials):
-        bits, messages, correct = run_once(first_seed + offset)
-        aggregator.add(bits=bits, messages=messages, correct=correct)
-    return aggregator.report()

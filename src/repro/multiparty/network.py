@@ -19,17 +19,18 @@ this world: a player can run one (or many, against different peers)
 two-party protocol coroutines, with each ``Send``/``Recv`` effect mapped to
 addressed BSP messages.  Because per-peer delivery is FIFO, many pairwise
 protocols progress concurrently in the same supersteps -- which is exactly
-how Section 4's protocols share their round budget across a group.
+how Section 4's protocols share their round budget across a group.  The
+adapter is the engine's :class:`~repro.comm.engine.Party` stepper plus a
+per-superstep outbox; the player scheduler below is not a ``Send``/``Recv``
+driver and keeps its own loop.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
-    Deque,
     Dict,
     FrozenSet,
     Generator,
@@ -45,7 +46,7 @@ from repro.comm.errors import (
     ProtocolDeadlock,
     ProtocolViolation,
 )
-from repro.comm.engine import Recv, Send
+from repro.comm.engine import Party
 from repro.faults.state import STATE as _FAULTS
 from repro.obs.state import STATE as _OBS
 from repro.protocols.base import validate_set
@@ -162,61 +163,30 @@ class MultipartyOutcome:
         ) / len(self.bits_sent)
 
 
-class TwoPartyAdapter:
+class TwoPartyAdapter(Party):
     """Drives one two-party protocol coroutine inside a BSP player.
 
     :param coroutine: an already-constructed party generator (e.g.
         ``protocol.alice(party_ctx)``).
 
-    Per superstep, the owning player calls :meth:`step` with the payloads
-    that arrived from the peer; the adapter advances the coroutine as far
-    as possible and returns the payloads to send to the peer this
-    superstep.  :attr:`done` / :attr:`output` report completion.
+    A :class:`~repro.comm.engine.Party` plus a per-superstep outbox: the
+    owning player calls :meth:`step` with the payloads that arrived from
+    the peer; the adapter runs the coroutine as far as it can go and
+    returns the payloads to send to the peer this superstep.
+    :attr:`done` / :attr:`output` report completion.
     """
 
-    def __init__(self, coroutine: Generator) -> None:
-        self._gen = coroutine
-        self._queue: Deque[BitString] = deque()
-        self.done = False
-        self.output: Any = None
-        self._pending: Optional[object] = None
-        self._started = False
+    __slots__ = ()
 
-    def _advance(self, value: Any) -> None:
-        try:
-            if not self._started:
-                self._started = True
-                self._pending = next(self._gen)
-            else:
-                self._pending = self._gen.send(value)
-        except StopIteration as stop:
-            self.done = True
-            self.output = stop.value
-            self._pending = None
+    def __init__(self, coroutine: Generator) -> None:
+        super().__init__("two-party coroutine", coroutine)
 
     def step(self, incoming: List[BitString]) -> List[BitString]:
         """Feed arrived payloads, run until blocked, return payloads to send."""
-        self._queue.extend(incoming)
+        self.inbox.extend(incoming)
         outgoing: List[BitString] = []
-        while not self.done:
-            if self._pending is None and not self._started:
-                self._advance(None)
-                continue
-            effect = self._pending
-            if isinstance(effect, Send):
-                outgoing.append(effect.payload)
-                self._advance(None)
-            elif isinstance(effect, Recv):
-                if self._queue:
-                    self._advance(self._queue.popleft())
-                else:
-                    break
-            elif effect is None:  # pragma: no cover - defensive
-                break
-            else:
-                raise ProtocolViolation(
-                    f"two-party coroutine yielded {effect!r} inside adapter"
-                )
+        if self.run(outgoing.append):
+            raise self.violation()
         return outgoing
 
 

@@ -7,12 +7,15 @@ verdicts.  What it *does* have is a rigid round structure: every session of
 the same ``(n, k, r)`` shape reaches its bucket sweep, its stage-``i``
 equality sweep, and its stage-``i`` re-run sweep at the same points of the
 message schedule.  This module exploits that by driving many sessions'
-party generators in **lockstep**: each lane (one session operation) runs
-its Alice/Bob coroutines under the engine's exact delivery semantics until
-every lane is either finished or *parked* on a pending sweep
+party generators in **lockstep**: each lane (one session operation) steps
+its Alice/Bob coroutines with the engine's own
+:class:`~repro.comm.engine.Party` stepper, under the engine's delivery
+semantics and deadlock checks, until every lane is either finished or
+*parked* on a pending sweep
 (:class:`~repro.core.tree_protocol.AffineSweepRequest` /
 :class:`~repro.core.tree_protocol.FingerprintSweepRequest`), then answers
-every parked sweep from one pooled segmented kernel dispatch and resumes.
+every parked sweep from one pooled segmented kernel dispatch and resumes
+each parked party with its answer on the lane's next step, Alice first.
 
 A ``k = 64`` bucket sweep is 64 lanes -- half the kernel layer's
 ``MIN_LANES`` cliff, so a lone session runs scalar.  Sixty-four lockstepped
@@ -43,12 +46,10 @@ The equivalence suite (``tests/test_serve_barrier.py``) pins every
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.comm.engine import PartyContext, Recv, Send
-from repro.comm.errors import ProtocolDeadlock, ProtocolViolation
+from repro.comm.engine import Party, PartyContext, pair_finished
 from repro.comm.transcript import Transcript
 from repro.core.api import IntersectionResult
 from repro.core.tradeoff import optimal_rounds
@@ -94,43 +95,17 @@ class TreeBatchStats:
     fingerprint_values: int = 0
 
 
-class _Party:
-    """One lane-party coroutine plus its engine-side book-keeping.
+class _Lane:
+    """One session operation running under the lockstep driver.
 
-    The mirror of the engine's ``_PartyState`` with one extra parked state:
-    a party blocked on a pending sweep holds the request in
-    ``pending_sweep`` until the barrier deposits the pooled answer in
-    ``sweep_answer``.
+    Its two :class:`~repro.comm.engine.Party` objects step under the
+    engine's delivery semantics; the lane adds what is its own: a party
+    that yields a pending sweep *parks* until the barrier's pooled answer
+    comes back, and fingerprint sweeps are answered inline while the hot
+    caches are enabled.
     """
 
-    __slots__ = (
-        "role",
-        "generator",
-        "inbox",
-        "started",
-        "done",
-        "output",
-        "pending_effect",
-        "pending_sweep",
-        "sweep_answer",
-    )
-
-    def __init__(self, role: str, generator: Generator) -> None:
-        self.role = role
-        self.generator = generator
-        self.inbox: Deque[BitString] = deque()
-        self.started = False
-        self.done = False
-        self.output: Any = None
-        self.pending_effect: Optional[object] = None
-        self.pending_sweep: Optional[object] = None
-        self.sweep_answer: Any = _NO_ANSWER
-
-
-class _Lane:
-    """One session operation running under the lockstep driver."""
-
-    __slots__ = ("alice", "bob", "transcript", "finished", "stats")
+    __slots__ = ("alice", "bob", "transcript", "to_alice", "to_bob", "stats")
 
     def __init__(
         self,
@@ -143,7 +118,7 @@ class _Lane:
         # Exactly the randomness lineage SetIntersectionProtocol.run /
         # run_two_party would build for this (protocol, seed).
         shared = SharedRandomness(seed)
-        self.alice = _Party(
+        self.alice = alice = Party(
             "alice",
             protocol.party_with_pending_sweeps(
                 PartyContext(
@@ -154,7 +129,7 @@ class _Lane:
                 )
             ),
         )
-        self.bob = _Party(
+        self.bob = bob = Party(
             "bob",
             protocol.party_with_pending_sweeps(
                 PartyContext(
@@ -166,157 +141,100 @@ class _Lane:
             ),
         )
         self.transcript = Transcript()
-        self.finished = False
         self.stats = stats
-
-    def _advance(self, party: _Party, value: Any) -> None:
-        """Resume the coroutine with ``value``; classify the next effect.
-
-        Fingerprint sweeps are answered *inline* while the hot caches are
-        enabled: the cached per-value path is the fast path (both parties
-        of a lane fingerprint the same node values under the same salt, so
-        the second sweep of every pair is a dict hit), and answering
-        without parking keeps the lane's working set hot instead of
-        round-tripping through a barrier.  With the caches disabled the
-        sweep parks and joins the pooled
-        :func:`repro.kernels.fingerprint_sweep_segments` dispatch --
-        value-identical either way.
-        """
-        generator = party.generator
-        send = generator.send
-        try:
-            if not party.started:
-                party.started = True
-                effect = send(None)
-            else:
-                effect = send(value)
-            while True:
-                effect_type = type(effect)
-                if effect_type is Send or effect_type is Recv:
-                    party.pending_effect = effect
-                    return
-                if effect_type is FingerprintSweepRequest and hotcache.enabled():
-                    stats = self.stats
-                    stats.fingerprint_segments += 1
-                    stats.fingerprint_values += len(effect.values)
-                    effect = send(effect.printer.values_of(effect.values))
-                    continue
-                if (
-                    effect_type is AffineSweepRequest
-                    or effect_type is FingerprintSweepRequest
-                ):
-                    party.pending_sweep = effect
-                    party.pending_effect = None
-                    return
-                raise ProtocolViolation(
-                    f"{party.role} yielded {effect!r}; expected Send(...), "
-                    f"Recv(), or a pending-sweep request"
-                )
-        except StopIteration as stop:
-            party.done = True
-            party.output = stop.value
-            party.pending_effect = None
-
-    def _run_until_blocked(self, party: _Party, peer: _Party) -> bool:
-        """Drive one party until done, parked, or blocked; True on progress.
-
-        The engine's ``run_until_blocked`` with one extra blocked state:
-        a parked sweep with no answer yet.  Send/Recv handling -- transcript
-        recording, FIFO delivery, the merge convention -- is byte-for-byte
-        the engine's semantics.
-        """
-        progressed = False
+        # The engine's reliable channel: record under the merge convention,
+        # then FIFO delivery into the peer's inbox.
         record_send = self.transcript.record_send
-        while not party.done:
-            if not party.started:
-                self._advance(party, None)
-                progressed = True
-                continue
-            if party.pending_sweep is not None:
-                if party.sweep_answer is _NO_ANSWER:
-                    break  # parked: waiting for the pooled dispatch
-                answer = party.sweep_answer
-                party.sweep_answer = _NO_ANSWER
-                party.pending_sweep = None
-                self._advance(party, answer)
-                progressed = True
-                continue
-            effect = party.pending_effect
-            if type(effect) is Send:
-                record_send(party.role, effect.payload)
-                peer.inbox.append(effect.payload)
-                self._advance(party, None)
-                progressed = True
-            elif type(effect) is Recv:
-                if party.inbox:
-                    self._advance(party, party.inbox.popleft())
-                    progressed = True
-                else:
-                    break  # blocked on an empty inbox
-            else:  # pragma: no cover - _advance() already validated
-                raise ProtocolViolation(f"unhandled effect {effect!r}")
-        return progressed
+        alice_inbox, bob_inbox = alice.inbox, bob.inbox
 
-    def step(self) -> List[_Party]:
-        """Run both parties as far as they can go.
+        def to_bob(payload: BitString) -> None:
+            record_send("alice", payload)
+            bob_inbox.append(payload)
 
+        def to_alice(payload: BitString) -> None:
+            record_send("bob", payload)
+            alice_inbox.append(payload)
+
+        self.to_alice, self.to_bob = to_alice, to_bob
+
+    def _run(self, party: Party, deliver, answer: Any) -> bool:
+        """Run one party until it finishes, blocks, or parks on a sweep.
+
+        ``answer`` is the pooled answer to the sweep the party is parked
+        on (``_NO_ANSWER`` when it is not parked).  Fingerprint sweeps
+        are answered *inline* while the hot caches are enabled: the cached
+        per-value path is the fast path (both parties of a lane
+        fingerprint the same node values under the same salt, so the
+        second sweep of every pair is a dict hit), and answering without
+        parking keeps the lane's working set hot instead of round-tripping
+        through a barrier.  With the caches disabled the sweep parks and
+        joins the pooled :func:`repro.kernels.fingerprint_sweep_segments`
+        dispatch -- value-identical either way.
+
+        :returns: ``True`` when the party parked on a sweep.
+        """
+        if answer is not _NO_ANSWER:
+            party.resume(answer)
+        while party.run(deliver):
+            effect = party.effect
+            effect_type = type(effect)
+            if effect_type is FingerprintSweepRequest and hotcache.enabled():
+                stats = self.stats
+                stats.fingerprint_segments += 1
+                stats.fingerprint_values += len(effect.values)
+                party.resume(effect.printer.values_of(effect.values))
+            elif (
+                effect_type is AffineSweepRequest
+                or effect_type is FingerprintSweepRequest
+            ):
+                return True
+            else:
+                raise party.violation(
+                    "Send(...), Recv(), or a pending-sweep request"
+                )
+        return False
+
+    def step(self, answers: Dict[Party, Any]) -> List[Party]:
+        """Run both parties as far as they can go, Alice first.
+
+        :param answers: the pooled answers of the last barrier, by parked
+            party; each party resumes with its own on its next run.
         :returns: the parties parked on pending sweeps (empty when the
             lane finished); the lane is re-stepped after the barrier
             answers them.
         :raises ProtocolDeadlock: both parties blocked with no sweeps
             pending (mismatched send/receive structure).
         """
+        alice, bob = self.alice, self.bob
         while True:
-            progress = False
-            if self._run_until_blocked(self.alice, self.bob):
-                progress = True
-            if self._run_until_blocked(self.bob, self.alice):
-                progress = True
-            if self.alice.done and self.bob.done:
-                for party in (self.alice, self.bob):
-                    if party.inbox:
-                        raise ProtocolViolation(
-                            f"{party.role} finished with {len(party.inbox)} "
-                            f"undelivered payload(s) in its inbox"
-                        )
-                self.finished = True
-                return []
-            parked = [
-                party
-                for party in (self.alice, self.bob)
-                if party.pending_sweep is not None
-            ]
+            parked = []
+            if self._run(alice, self.to_bob, answers.pop(alice, _NO_ANSWER)):
+                parked.append(alice)
+            if self._run(bob, self.to_alice, answers.pop(bob, _NO_ANSWER)):
+                parked.append(bob)
             if parked:
                 return parked
-            if not progress:
-                blocked = [
-                    party.role
-                    for party in (self.alice, self.bob)
-                    if not party.done
-                ]
-                raise ProtocolDeadlock(
-                    f"deadlock: parties {blocked} blocked on empty inboxes "
-                    f"(mismatched send/receive structure)"
-                )
+            if pair_finished(alice, bob):
+                return []
 
 
 def _answer_sweeps(
-    affine_parked: List[_Party],
-    fingerprint_parked: List[_Party],
+    affine_parked: List[Party],
+    fingerprint_parked: List[Party],
     stats: TreeBatchStats,
-) -> None:
+) -> Dict[Party, Any]:
     """One barrier: answer every parked sweep from pooled dispatches."""
+    answers: Dict[Party, Any] = {}
     if affine_parked:
         segments: List[tuple] = []
         bounds = []
         for party in affine_parked:
-            request = party.pending_sweep
             start = len(segments)
-            segments.extend(request.segments)
+            segments.extend(party.effect.segments)
             bounds.append((start, len(segments)))
         images = affine_image_segments(segments)
         for party, (start, end) in zip(affine_parked, bounds):
-            party.sweep_answer = images[start:end]
+            answers[party] = images[start:end]
         stats.affine_segments += len(segments)
         stats.affine_lanes += sum(len(segment[0]) for segment in segments)
     if fingerprint_parked:
@@ -327,12 +245,12 @@ def _answer_sweeps(
             # replayed value) is a dict hit.  values_of dispatches
             # identically, keeping this value-equal to the scalar oracle.
             for party in fingerprint_parked:
-                request = party.pending_sweep
-                party.sweep_answer = request.printer.values_of(request.values)
+                request = party.effect
+                answers[party] = request.printer.values_of(request.values)
         else:
             pooled = []
             for party in fingerprint_parked:
-                request = party.pending_sweep
+                request = party.effect
                 pooled.append(
                     (
                         request.printer.salt,
@@ -340,13 +258,14 @@ def _answer_sweeps(
                         [canonical_bytes(value) for value in request.values],
                     )
                 )
-            answers = fingerprint_sweep_segments(pooled)
-            for party, answer in zip(fingerprint_parked, answers):
-                party.sweep_answer = answer
+            answers.update(
+                zip(fingerprint_parked, fingerprint_sweep_segments(pooled))
+            )
         stats.fingerprint_segments += len(fingerprint_parked)
         stats.fingerprint_values += sum(
-            len(party.pending_sweep.values) for party in fingerprint_parked
+            len(party.effect.values) for party in fingerprint_parked
         )
+    return answers
 
 
 def tree_batch_results(
@@ -403,24 +322,25 @@ def tree_batch_results(
         lanes.append(_Lane(protocol, s, t, seed, stats))
         effective_list.append(effective_rounds)
 
-    pending = list(lanes)
+    pending = lanes
+    answers: Dict[Party, Any] = {}
     while pending:
         still_pending: List[_Lane] = []
-        affine_parked: List[_Party] = []
-        fingerprint_parked: List[_Party] = []
+        affine_parked: List[Party] = []
+        fingerprint_parked: List[Party] = []
         for lane in pending:
-            parked = lane.step()
-            if lane.finished:
+            parked = lane.step(answers)
+            if not parked:
                 continue
             for party in parked:
-                if type(party.pending_sweep) is AffineSweepRequest:
+                if type(party.effect) is AffineSweepRequest:
                     affine_parked.append(party)
                 else:
                     fingerprint_parked.append(party)
             still_pending.append(lane)
         if still_pending:
             stats.barriers += 1
-            _answer_sweeps(affine_parked, fingerprint_parked, stats)
+            answers = _answer_sweeps(affine_parked, fingerprint_parked, stats)
         pending = still_pending
 
     results: List[IntersectionResult] = []

@@ -436,7 +436,15 @@ class BatchCoalescer:
             # connection handler admits a whole buffered burst before this
             # task gets to run, so a full tick from here would idle past it.
             deadline = first.admitted + self.tick_s
-            await asyncio.sleep(max(0.0, deadline - loop.time()))
+            try:
+                await asyncio.sleep(max(0.0, deadline - loop.time()))
+            except asyncio.CancelledError:
+                # stop() landed during the tick: ``first`` has already left
+                # the queue that stop() fails, so it is failed here.
+                self._finish(
+                    first, error=ServeError("shutting-down", "server is stopping")
+                )
+                raise
             batch = [first]
             while True:
                 try:

@@ -18,7 +18,7 @@ cache -- one `repro trace`-visible place answers "what did the server do".
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.core.api import IntersectionResult
@@ -44,19 +44,9 @@ class ServedSession:
     labels: Dict[str, Any] = field(default_factory=dict)
 
     def history_payload(self) -> List[Dict[str, Any]]:
-        """The session's operation history as JSON-ready records."""
-        return [
-            {
-                "index": record.index,
-                "kind": record.kind,
-                "bits": record.bits,
-                "messages": record.messages,
-                "protocol": record.protocol,
-                "result_size": record.result_size,
-                "degraded": record.degraded,
-            }
-            for record in self.session.stats().history
-        ]
+        """The session's operation history as JSON-ready records: each
+        :class:`~repro.session.OperationRecord` field, in field order."""
+        return [asdict(record) for record in self.session.stats().history]
 
     def stats_payload(self) -> Dict[str, Any]:
         """JSON-ready cumulative accounting (the ``stats`` reply body)."""

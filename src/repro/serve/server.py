@@ -32,7 +32,7 @@ import os
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.obs import metrics as _metrics
 from repro.protocols.base import InvalidInput, validate_set_pair
@@ -130,6 +130,9 @@ class IntersectionServer:
         self.shed_total = 0
         self._server: Optional[asyncio.base_events.Server] = None
         self._closing = False
+        #: Live connection handlers, each with the callable that ends its
+        #: connection's reads.
+        self._connections: Dict["asyncio.Task", Callable[[], None]] = {}
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -175,9 +178,21 @@ class IntersectionServer:
         return "tcp", self.address
 
     async def stop(self) -> None:
+        """Stop listening, answer every admitted op, then stop draining.
+
+        Each connection's reads end as at a client's EOF, and its handler
+        is awaited while the coalescer still runs, so every op already
+        admitted gets its result.  (``wait_closed()`` cannot be relied on
+        for this: on Python 3.11, ``close()`` drops the listener's sockets
+        and ``wait_closed()`` then returns at once.)
+        """
         self._closing = True
         if self._server is not None:
             self._server.close()
+            for end_reads in self._connections.values():
+                end_reads()
+            while self._connections:
+                await asyncio.gather(*self._connections, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         await self.coalescer.stop()
@@ -218,6 +233,16 @@ class IntersectionServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        def end_reads() -> None:
+            # Paused first: data fed to the reader after its EOF is an error.
+            writer.transport.pause_reading()
+            reader.feed_eof()
+
+        task = asyncio.current_task()
+        task.add_done_callback(self._connections.pop)
+        self._connections[task] = end_reads
+        if self._closing:
+            end_reads()
         frames = FrameReader(reader, max_bytes=self.config.max_frame_bytes)
         # All replies -- control and operation -- are encoded once and go
         # through one queue drained by one writer task, so a burst of

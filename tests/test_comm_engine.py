@@ -173,12 +173,17 @@ class TestFailureModes:
             yield 42
             return None
 
+        ran = []
+
         def idle(ctx):
+            ran.append(ctx.role)
             return None
             yield  # pragma: no cover
 
-        with pytest.raises(ProtocolViolation):
+        with pytest.raises(ProtocolViolation, match="alice yielded 42"):
             run_two_party(weird, idle, alice_input=None, bob_input=None)
+        # Raised before the peer runs.
+        assert ran == []
 
     def test_budget_abort(self):
         def flood(ctx):

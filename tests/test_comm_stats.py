@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.comm.stats import Summary, TrialAggregator, run_trials, summarize
+from repro.comm.stats import Summary, TrialAggregator, summarize
 
 
 class TestSummarize:
@@ -52,20 +52,6 @@ class TestAggregator:
         aggregator = TrialAggregator()
         aggregator.add(bits=1, messages=1, correct=True)
         assert "success=1.0000" in str(aggregator.report())
-
-
-class TestRunTrials:
-    def test_drives_seeds(self):
-        seen = []
-
-        def run_once(seed):
-            seen.append(seed)
-            return (seed * 10, 2, True)
-
-        report = run_trials(run_once, trials=5, first_seed=100)
-        assert seen == [100, 101, 102, 103, 104]
-        assert report.trials == 5
-        assert report.bits.minimum == 1000.0
 
 
 class TestNumpyArrayInputs:

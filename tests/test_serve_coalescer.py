@@ -300,6 +300,37 @@ class TestCoalescerDrain:
 
         assert asyncio.run(scenario()).type == "shutting-down"
 
+    def test_stop_during_a_tick_fails_its_first_op_typed(self, rng):
+        # The drain task takes a tick's first op off the queue before it
+        # sleeps out the tick; a stop() landing in that sleep must still
+        # answer it, ahead of the ops left in the queue.
+        s, t = make_instance(rng, 1 << 20, 64, 0.5)
+        registry = self._registry(1)
+
+        async def scenario():
+            coalescer = BatchCoalescer(registry, coalesce=True, tick_s=60.0)
+            await coalescer.start()
+            loop = asyncio.get_running_loop()
+            futures = [loop.create_future() for _ in range(3)]
+
+            def submit(future):
+                coalescer.submit(
+                    PendingOp(entry=registry.get("s0"), kind="size",
+                              alice_set=s, bob_set=t, future=future)
+                )
+
+            submit(futures[0])
+            while not coalescer._queue.empty():
+                await asyncio.sleep(0)
+            submit(futures[1])
+            submit(futures[2])
+            await coalescer.stop()
+            done, _ = await asyncio.wait(futures, timeout=5)
+            assert coalescer.pending == 0
+            return [future.exception().type for future in futures if future in done]
+
+        assert asyncio.run(scenario()) == ["shutting-down"] * 3
+
 
 class TestJaccardAcrossPaths:
     """A ``jaccard`` reply must not depend on whether the op was coalesced.

@@ -6,6 +6,8 @@ clients take, including the backpressure and typed-shedding contract.
 """
 
 import asyncio
+import dataclasses
+import logging
 import socket
 import struct
 
@@ -16,6 +18,7 @@ from repro.obs import metrics
 from repro.serve import IntersectionServer, ServeConfig
 from repro.serve.loadgen import LoadMix, generate_schedule, run_mix_serial
 from repro.serve.wire import FrameReader, encode_frame
+from repro.session import OperationRecord
 from repro.util import hotcache
 
 
@@ -79,6 +82,16 @@ class TestControlOps:
                 frames, writer, {"op": "stats", "session": "a"}
             )
             assert stats["stats"]["operations"] == 1
+            # Every OperationRecord field reaches the wire (frames sort
+            # their keys; the payload itself keeps field order).
+            fields = [f.name for f in dataclasses.fields(OperationRecord)]
+            (record,) = stats["stats"]["history"]
+            assert sorted(record) == sorted(fields)
+            (payload,) = server.registry.get("a").history_payload()
+            assert list(payload) == fields
+            assert (record["index"], record["bits"], record["degraded"]) == (
+                reply["index"], reply["bits"], reply["degraded"]
+            )
             closed = await _ask(
                 frames, writer, {"op": "close", "session": "a"}
             )
@@ -476,6 +489,56 @@ class TestBackpressure:
         assert operations == ops + 1
         assert second["ok"] and second["result"] == len(s & t)
         assert second["index"] == ops
+
+
+class TestStop:
+    """``stop()`` ends each connection's reads as at a client's EOF and
+    awaits its handler: it returns, every admitted op is answered, no
+    handler task is left for the loop's teardown to cancel, and asyncio
+    logs nothing."""
+
+    def _stop_with_client(self, rng, caplog, ops):
+        s, t = make_instance(rng, 1 << 20, 64, 0.5)
+
+        async def scenario():
+            server = IntersectionServer(ServeConfig(tick_s=0.05))
+            await server.start()
+            frames, writer = await _client(server)
+            await _ask(
+                frames, writer,
+                {"op": "open", "session": "a", "universe": 1 << 20,
+                 "k": 64, "rounds": 2},
+            )
+            for request_id in range(ops):
+                writer.write(encode_frame(
+                    {"op": "size", "id": request_id, "session": "a",
+                     "alice": sorted(s), "bob": sorted(t)}
+                ))
+            await writer.drain()
+            await _until(lambda: server.coalescer.pending == ops)
+            await asyncio.wait_for(server.stop(), 30)
+            left = asyncio.all_tasks() - {asyncio.current_task()}
+            replies = []
+            while (reply := await asyncio.wait_for(frames.next(), 30)):
+                replies.append(reply)
+            writer.close()
+            return left, replies
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            left, replies = asyncio.run(scenario())
+        assert left == set()
+        assert [r.getMessage() for r in caplog.records] == []
+        return s & t, replies
+
+    def test_idle_connection(self, rng, caplog):
+        _, replies = self._stop_with_client(rng, caplog, 0)
+        assert replies == []
+
+    def test_in_flight_ops_are_answered(self, rng, caplog):
+        common, replies = self._stop_with_client(rng, caplog, 5)
+        assert sorted(reply["id"] for reply in replies) == list(range(5))
+        for reply in replies:
+            assert reply["ok"] and reply["result"] == len(common)
 
 
 class TestUnixTransport:
