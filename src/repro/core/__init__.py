@@ -20,7 +20,11 @@
 from repro.core.amplify import AmplifiedIntersection
 from repro.core.api import IntersectionResult, compute_intersection
 from repro.core.private_model import PrivateCoinIntersection
-from repro.core.tradeoff import communication_bound, select_protocol
+from repro.core.tradeoff import (
+    choose_protocol,
+    communication_bound,
+    select_protocol,
+)
 from repro.core.tree_protocol import TreeProtocol, expected_bits_bound
 from repro.core.verification_tree import TreeNode, VerificationTree
 
@@ -29,6 +33,7 @@ __all__ = [
     "IntersectionResult",
     "compute_intersection",
     "PrivateCoinIntersection",
+    "choose_protocol",
     "communication_bound",
     "select_protocol",
     "TreeProtocol",

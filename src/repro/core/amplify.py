@@ -26,7 +26,11 @@ from typing import Generator, Optional
 
 from repro.comm.engine import PartyContext
 from repro.comm.errors import ProtocolAborted
-from repro.core.tree_protocol import TreeProtocol, expected_bits_bound
+from repro.core.tree_protocol import (
+    TreeProtocol,
+    expected_bits_bound,
+    optimal_rounds,
+)
 from repro.protocols.base import SetIntersectionProtocol, subcontext
 from repro.protocols.equality import run_equality
 
@@ -67,10 +71,8 @@ class AmplifiedIntersection(SetIntersectionProtocol):
     ) -> None:
         super().__init__(universe_size, max_set_size)
         if inner is None:
-            from repro.util.iterlog import log_star
-
             effective_rounds = (
-                rounds if rounds is not None else max(1, log_star(max_set_size))
+                rounds if rounds is not None else optimal_rounds(max_set_size)
             )
             inner = TreeProtocol(
                 universe_size,

@@ -14,16 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional
 
-from repro.core.amplify import AmplifiedIntersection
-from repro.core.private_model import PrivateCoinIntersection
-from repro.core.tradeoff import optimal_rounds, select_protocol
+from repro.core.tradeoff import choose_protocol
 from repro.protocols.base import (
     IntersectionOutcome,
     as_input_set,
     validate_set_pair,
 )
 
-__all__ = ["IntersectionResult", "compute_intersection"]
+__all__ = ["IntersectionResult", "compute_intersection", "intersection_result"]
 
 
 @dataclass(frozen=True)
@@ -92,36 +90,22 @@ def compute_intersection(
     if max_set_size is None:
         max_set_size = max(len(s), len(t), 1)
     validate_set_pair(s, t, universe_size, max_set_size)
-
-    effective_rounds = (
-        rounds if rounds is not None else optimal_rounds(max_set_size)
+    protocol, rounds_parameter = choose_protocol(
+        universe_size,
+        max_set_size,
+        rounds=rounds,
+        model=model,
+        amplified=amplified,
+        deterministic=deterministic,
     )
-    if model not in ("shared", "private"):
-        raise ValueError(f"model must be 'shared' or 'private', got {model!r}")
+    return intersection_result(protocol.run(s, t, seed=seed), rounds_parameter)
 
-    if deterministic:
-        protocol = select_protocol(universe_size, max_set_size, deterministic=True)
-    elif model == "private":
-        from repro.core.tree_protocol import TreeProtocol
 
-        clamped = min(effective_rounds, optimal_rounds(max_set_size))
-        protocol = PrivateCoinIntersection(
-            universe_size,
-            max_set_size,
-            inner_factory=lambda reduced: TreeProtocol(
-                reduced, max_set_size, rounds=clamped
-            ),
-        )
-    elif amplified:
-        protocol = AmplifiedIntersection(
-            universe_size, max_set_size, rounds=effective_rounds
-        )
-    else:
-        protocol = select_protocol(
-            universe_size, max_set_size, rounds=effective_rounds
-        )
-
-    outcome: IntersectionOutcome = protocol.run(s, t, seed=seed)
+def intersection_result(
+    outcome: IntersectionOutcome, rounds_parameter: int
+) -> IntersectionResult:
+    """The report of one protocol run: Alice's answer (Bob's when she
+    aborted, the empty set when both did) and the exact cost."""
     answer = outcome.alice_output
     if answer is None:
         answer = outcome.bob_output
@@ -130,6 +114,6 @@ def compute_intersection(
         bits=outcome.total_bits,
         messages=outcome.num_messages,
         protocol=outcome.protocol_name,
-        rounds_parameter=effective_rounds,
+        rounds_parameter=rounds_parameter,
         parties_agree=outcome.agreed,
     )

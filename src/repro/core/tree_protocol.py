@@ -74,6 +74,7 @@ __all__ = [
     "TreeProtocol",
     "StageStats",
     "expected_bits_bound",
+    "optimal_rounds",
     "AffineSweepRequest",
     "FingerprintSweepRequest",
     "resolve_sweeps",
@@ -148,7 +149,7 @@ def _tree_spans(
 
     The tree depends on ``(num_leaves, rounds)`` alone, so every protocol
     instance of one shape shares one immutable copy: players build a
-    protocol per attempt, and serving builds one per scalar op.  Plain int
+    protocol per attempt, and every served session builds its own.  Plain int
     pairs also beat node attribute access in the equality sweep, which
     walks every node of a level each stage.
     """
@@ -276,6 +277,13 @@ def resolve_sweeps(gen: Generator) -> Generator:
         return stop.value
 
 
+def optimal_rounds(max_set_size: int) -> int:
+    """The round parameter at which communication bottoms out: ``log* k``
+    (the default ``r`` of every protocol built on the tree, and the clamp
+    :func:`repro.core.tradeoff.choose_protocol` applies)."""
+    return max(1, log_star(max_set_size))
+
+
 def expected_bits_bound(max_set_size: int, rounds: int) -> int:
     """A generous concrete instantiation of the ``O(k log^(r) k)`` expected
     communication bound, used as the default worst-case cutoff by the
@@ -322,7 +330,7 @@ class TreeProtocol(SetIntersectionProtocol):
     ) -> None:
         super().__init__(universe_size, max_set_size)
         if rounds is None:
-            rounds = max(1, log_star(max_set_size))
+            rounds = optimal_rounds(max_set_size)
         if rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {rounds}")
         if confidence_exponent < 1:

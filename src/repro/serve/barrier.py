@@ -35,9 +35,7 @@ call, the amortization regime the one-round coalescer already reaches.
   the same hot caches, or :func:`repro.kernels.fingerprint_sweep_segments`
   when the caches are disabled);
 * lanes never share mutable state: the :class:`TreeProtocol` object is
-  shared read-only across lanes (same ``(n, k, r)`` shape by contract),
-  which is itself a win the scalar path doesn't get -- no per-operation
-  tree construction.
+  shared read-only across lanes (same ``(n, k, r)`` shape by contract).
 
 The equivalence suite (``tests/test_serve_barrier.py``) pins every
 :class:`~repro.core.api.IntersectionResult` field against
@@ -52,7 +50,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.comm.engine import Party, PartyContext, pair_finished
 from repro.comm.transcript import Transcript
 from repro.core.api import IntersectionResult
-from repro.core.tradeoff import optimal_rounds
 from repro.core.tree_protocol import (
     AffineSweepRequest,
     FingerprintSweepRequest,
@@ -65,23 +62,10 @@ from repro.util import hotcache
 from repro.util.bits import BitString
 from repro.util.rng import PrivateRandomness, SharedRandomness
 
-__all__ = ["TreeBatchStats", "tree_batch_results", "tree_protocol_rounds"]
+__all__ = ["TreeBatchStats", "tree_batch_results"]
 
 #: Sentinel distinguishing "no sweep answer yet" from a legitimate answer.
 _NO_ANSWER = object()
-
-
-def tree_protocol_rounds(max_set_size: int, rounds: Optional[int]) -> int:
-    """The round count the selected protocol actually runs with.
-
-    Mirrors :func:`repro.core.tradeoff.select_protocol`'s clamp: a round
-    budget above ``log* k`` buys nothing, so the tree runs at
-    ``min(rounds, log* k)``.  The multi-round barrier shape requires the
-    *clamped* value to be ``>= 2`` -- at 1 the selection layer degenerates
-    to the one-round exchange, which has its own batch executor.
-    """
-    effective = rounds if rounds is not None else optimal_rounds(max_set_size)
-    return min(effective, optimal_rounds(max_set_size))
 
 
 @dataclass
@@ -269,58 +253,45 @@ def _answer_sweeps(
 
 
 def tree_batch_results(
-    universe_size: int,
-    max_set_size: int,
-    rounds: int,
+    protocol: TreeProtocol,
     requests: Sequence[Tuple[Any, Any, int, int]],
     *,
     prevalidated: bool = False,
     stats: Optional[TreeBatchStats] = None,
-    protocol: Optional[TreeProtocol] = None,
 ) -> List[IntersectionResult]:
     """Execute many same-shape tree intersections in lockstep.
 
-    :param universe_size: the shared universe ``[n]``.
-    :param max_set_size: the shared bound ``k``.
-    :param rounds: the *clamped* protocol round count (``>= 2``; see
-        :func:`tree_protocol_rounds`) -- one :class:`TreeProtocol` of this
-        shape serves every lane.
-    :param requests: ``(alice_set, bob_set, seed, effective_rounds)`` per
-        operation; ``effective_rounds`` is the session's unclamped round
-        parameter, reported back as ``rounds_parameter`` exactly as
+    :param protocol: the :class:`TreeProtocol` every lane runs (``rounds
+        >= 2``).  The tree and its leaf structure are read-only at run
+        time, so one instance serves every lane and every call.
+    :param requests: ``(alice_set, bob_set, seed, rounds_parameter)`` per
+        operation; ``rounds_parameter`` is the session's round parameter
+        (unclamped), reported back exactly as
         :func:`~repro.core.api.compute_intersection` would.
     :param prevalidated: skip re-validation; only for callers that already
         ran :func:`validate_set_pair` on every pair.
     :param stats: optional pooled-dispatch accounting sink.
-    :param protocol: optional pre-built :class:`TreeProtocol` of exactly
-        this ``(universe_size, max_set_size, rounds)`` shape.  The tree
-        and its leaf structure are read-only at run time, so a caller
-        executing many chunks of one group (the coalescer) shares a
-        single instance instead of paying the ``select_protocol``-sized
-        construction cost per chunk -- a per-operation cost the scalar
-        path cannot avoid.
     :returns: per-request :class:`IntersectionResult`, field-for-field
         identical to ``compute_intersection(...)`` on the same arguments.
     """
-    if rounds < 2:
+    if protocol.rounds < 2:
         raise ValueError(
-            f"tree_batch_results requires clamped rounds >= 2, got {rounds}"
+            f"tree_batch_results requires rounds >= 2, got {protocol.rounds}"
         )
     if stats is None:
         stats = TreeBatchStats()
-    if protocol is None:
-        protocol = TreeProtocol(universe_size, max_set_size, rounds=rounds)
     lanes: List[_Lane] = []
-    effective_list: List[int] = []
-    for alice_set, bob_set, seed, effective_rounds in requests:
+    for alice_set, bob_set, seed, _ in requests:
         if prevalidated:
             s, t = alice_set, bob_set
         else:
             s, t = validate_set_pair(
-                alice_set, bob_set, universe_size, max_set_size
+                alice_set,
+                bob_set,
+                protocol.universe_size,
+                protocol.max_set_size,
             )
         lanes.append(_Lane(protocol, s, t, seed, stats))
-        effective_list.append(effective_rounds)
 
     pending = lanes
     answers: Dict[Party, Any] = {}
@@ -344,7 +315,7 @@ def tree_batch_results(
         pending = still_pending
 
     results: List[IntersectionResult] = []
-    for lane, effective_rounds in zip(lanes, effective_list):
+    for lane, (_, _, _, rounds_parameter) in zip(lanes, requests):
         answer = lane.alice.output
         if answer is None:
             answer = lane.bob.output
@@ -354,7 +325,7 @@ def tree_batch_results(
                 bits=lane.transcript.total_bits,
                 messages=lane.transcript.num_messages,
                 protocol=protocol.name,
-                rounds_parameter=effective_rounds,
+                rounds_parameter=rounds_parameter,
                 parties_agree=lane.alice.output == lane.bob.output,
             )
         )

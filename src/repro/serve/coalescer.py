@@ -23,11 +23,11 @@ count + fixed-width run per message, 2 messages).  The equivalence suite
 scalar path; a coalesced answer that differs by one bit is a test
 failure, not a rounding note.
 
-Two shapes coalesce: the one-round closed form (effective ``rounds == 1``,
-shared coins, not amplified) through :func:`one_round_batch_results`, and
-the multi-round verification tree (clamped ``rounds >= 2``, shared coins,
-not amplified, no fault plan) through the round-barrier lockstep driver
-(:mod:`repro.serve.barrier`), grouped by ``(n, k, clamped rounds)`` so
+A session's protocol, chosen once when it opens, picks the path.  Two
+protocols coalesce when the session has no fault plan: the one-round
+exchange through :func:`one_round_batch_results`, and the verification
+tree at ``rounds >= 2`` through the round-barrier lockstep driver
+(:mod:`repro.serve.barrier`), grouped by the tree's ``(n, k, rounds)`` so
 only same-shape sessions share a dispatch.  Everything else takes the
 per-session scalar path inside the same drain loop, so enabling
 coalescing never changes *what* is computed, only how many Python
@@ -43,7 +43,6 @@ from itertools import compress
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.api import IntersectionResult
-from repro.core.tradeoff import optimal_rounds
 from repro.hashing.families import collision_free_range
 from repro.hashing.pairwise import sample_pairwise_hash
 from repro.kernels import affine_image_segments
@@ -51,11 +50,8 @@ from repro.obs import metrics as _metrics
 from repro.obs.state import STATE as _OBS
 from repro.core.tree_protocol import TreeProtocol
 from repro.protocols.base import InvalidInput, validate_set_pair
-from repro.serve.barrier import (
-    TreeBatchStats,
-    tree_batch_results,
-    tree_protocol_rounds,
-)
+from repro.protocols.one_round import OneRoundHashingProtocol
+from repro.serve.barrier import TreeBatchStats, tree_batch_results
 from repro.serve.registry import ServedSession, SessionRegistry
 from repro.serve.wire import ServeError
 from repro.session import IntersectionSession, jaccard_from_common
@@ -99,42 +95,32 @@ TREE_CHUNK_OPS = 8
 
 
 def coalescible(session: IntersectionSession) -> bool:
-    """True iff the session's fixed parameters select the one-round shape.
+    """True iff the session's operations run the one-round exchange that
+    :func:`one_round_batch_results` reproduces bit for bit.
 
-    Mirrors :func:`repro.core.tradeoff.select_protocol`: shared coins, no
-    amplification, and an effective round budget of 1 mean every operation
-    runs ``OneRoundHashingProtocol`` -- the shape the batch executor
-    reproduces bit for bit.  A session with a fault plan must run its
-    operations through the retry loop, so it stays scalar.
+    A session with a fault plan must run its operations through the retry
+    loop, so it stays scalar.
     """
-    if session.model != "shared" or session.amplified:
-        return False
-    if getattr(session, "faults", None) is not None:
-        return False
-    rounds = (
-        session.rounds
-        if session.rounds is not None
-        else optimal_rounds(session.max_set_size)
+    return (
+        type(session.protocol) is OneRoundHashingProtocol
+        and session.faults is None
     )
-    return rounds == 1
 
 
 def tree_coalescible(session: IntersectionSession) -> bool:
-    """True iff the session's fixed parameters select the multi-round tree.
+    """True iff the session's operations run the multi-round verification
+    tree (:class:`~repro.core.tree_protocol.TreeProtocol` at ``rounds >=
+    2``), the shape the round-barrier driver locksteps.
 
-    Mirrors :func:`repro.core.tradeoff.select_protocol` again: shared
-    coins, no amplification, and a *clamped* round budget ``>= 2`` mean
-    every operation runs :class:`~repro.core.tree_protocol.TreeProtocol`'s
-    Algorithm 1 path -- the shape the round-barrier driver locksteps.  A
-    budget that clamps to 1 degenerates to the one-round exchange (handled
-    by :func:`coalescible`); a session with a fault plan must run through
-    the retry loop and stays scalar.
+    A session with a fault plan must run through the retry loop and stays
+    scalar.
     """
-    if session.model != "shared" or session.amplified:
-        return False
-    if getattr(session, "faults", None) is not None:
-        return False
-    return tree_protocol_rounds(session.max_set_size, session.rounds) >= 2
+    protocol = session.protocol
+    return (
+        type(protocol) is TreeProtocol
+        and protocol.rounds >= 2
+        and session.faults is None
+    )
 
 
 def _gamma_bits(value: int) -> int:
@@ -357,24 +343,6 @@ class BatchCoalescer:
         self._queue: "asyncio.Queue[PendingOp]" = asyncio.Queue()
         self._pending = 0
         self._task: Optional["asyncio.Task"] = None
-        self._tree_protocols: Dict[Tuple[int, int, int], TreeProtocol] = {}
-
-    def _tree_protocol(
-        self, universe_size: int, max_set_size: int, rounds: int
-    ) -> TreeProtocol:
-        """The shared read-only :class:`TreeProtocol` for one group shape.
-
-        Protocol objects hold only shape-derived structure (the tree, the
-        per-level failure budgets), never per-operation state, so one
-        instance serves every lane of every tick -- the scalar path pays
-        the ``select_protocol``-sized construction per operation.
-        """
-        key = (universe_size, max_set_size, rounds)
-        protocol = self._tree_protocols.get(key)
-        if protocol is None:
-            protocol = TreeProtocol(universe_size, max_set_size, rounds=rounds)
-            self._tree_protocols[key] = protocol
-        return protocol
 
     @property
     def pending(self) -> int:
@@ -480,28 +448,34 @@ class BatchCoalescer:
         # while the process caches keep hitting across ticks (DESIGN §7).
         with hotcache.trial():
             self.stats.dispatches += 1
-            if not self.coalesce:
-                for op in batch:
-                    self._execute_scalar(op)
-                return
-
-            eligible: List[PendingOp] = []
-            tree_eligible: List[PendingOp] = []
+            one_round: List[Tuple[PendingOp, int]] = []
+            tree: List[Tuple[PendingOp, int]] = []
+            # Pooled ops claim their operation seeds in submission order:
+            # a session with several ops in one tick consumes consecutive
+            # operation indices, exactly as it would serially, and its
+            # results are billed back in the same order.
+            next_index: Dict[str, int] = {}
             for op in batch:
-                if op.kind in OP_KINDS and coalescible(op.entry.session):
-                    eligible.append(op)
-                elif op.kind in OP_KINDS and tree_coalescible(op.entry.session):
-                    tree_eligible.append(op)
+                session = op.entry.session
+                poolable = self.coalesce and op.kind in OP_KINDS
+                if poolable and coalescible(session):
+                    pooled = one_round
+                elif poolable and tree_coalescible(session):
+                    pooled = tree
                 else:
                     self._execute_scalar(op)
-            if eligible:
-                if len(eligible) == 1:
-                    # A lone operation gains nothing from the batch plumbing.
-                    self._execute_scalar(eligible[0])
-                else:
-                    self._execute_coalesced(eligible)
-            if tree_eligible:
-                self._execute_tree(tree_eligible)
+                    continue
+                key = op.entry.key
+                index = next_index.get(key, session.stats().operations)
+                next_index[key] = index + 1
+                pooled.append((op, session.operation_seed(index)))
+            if len(one_round) == 1:
+                # A lone operation gains nothing from the batch plumbing.
+                self._execute_scalar(one_round[0][0])
+            elif one_round:
+                self._execute_coalesced(one_round)
+            if tree:
+                self._execute_tree(tree)
 
     def _execute_scalar(self, op: PendingOp) -> None:
         self.stats.scalar_ops += 1
@@ -516,25 +490,21 @@ class BatchCoalescer:
         self.registry.bill(op.entry, _record_as_result(record))
         self._finish(op, value=(value, record))
 
-    def _execute_coalesced(self, ops: List[PendingOp]) -> None:
-        # Pass 1: assign per-operation seeds in submission order; a session
-        # with several operations in one tick consumes consecutive
-        # operation indices, exactly as it would serially.
-        next_index: Dict[str, int] = {}
+    def _execute_coalesced(self, pooled: List[Tuple[PendingOp, int]]) -> None:
+        """One-round operations, each with its claimed seed: one dispatch."""
+        ops = []
         requests = []
         shape_counts: Dict[Tuple[int, int], int] = {}
-        for op in ops:
+        for op, seed in pooled:
             session = op.entry.session
-            key = op.entry.key
-            index = next_index.get(key, session.stats().operations)
-            next_index[key] = index + 1
+            ops.append(op)
             requests.append(
                 (
                     session.universe_size,
                     session.max_set_size,
                     op.alice_set,
                     op.bob_set,
-                    session.operation_seed(index),
+                    seed,
                 )
             )
             shape = (session.universe_size, session.max_set_size)
@@ -562,15 +532,14 @@ class BatchCoalescer:
                 groups=len(shape_counts),
             )
 
-        # Pass 2: bill results back in the same submission order the seeds
-        # were assigned in, so per-session histories are order-identical to
-        # the scalar path.
         self._bill(ops, results)
 
     def _bill(
         self, ops: List[PendingOp], results: List[IntersectionResult]
     ) -> None:
-        """Record, bill and answer pooled results in submission order."""
+        """Record, bill and answer pooled results in submission order (the
+        order their seeds were claimed in), so per-session histories are
+        order-identical to the scalar path."""
         for op, result in zip(ops, results):
             op.entry.session.record_operation(op.kind, result)
             self.registry.bill(op.entry, result)
@@ -578,92 +547,66 @@ class BatchCoalescer:
             value = _operation_value(op.kind, op.alice_set, op.bob_set, result)
             self._finish(op, value=(value, record))
 
-    def _execute_tree(self, ops: List[PendingOp]) -> None:
+    def _execute_tree(self, pooled: List[Tuple[PendingOp, int]]) -> None:
         """Multi-round operations: group by shape, lockstep each group.
 
-        Group key is ``(n, k, clamped rounds)`` -- the parameters that fix
-        the :class:`~repro.core.tree_protocol.TreeProtocol` instance -- so
-        no cross-shape pooling ever happens: each group runs its own
-        :func:`~repro.serve.barrier.tree_batch_results` call and only
-        same-shape lanes share a segmented kernel dispatch.  A session's
-        parameters are fixed for its lifetime, so all of one session's
-        operations land in one group, in submission order.
+        Group key is the sessions' tree ``(n, k, rounds)`` -- the
+        parameters that fix a :class:`~repro.core.tree_protocol.
+        TreeProtocol` -- so no cross-shape pooling ever happens: each
+        group runs its own :func:`~repro.serve.barrier.tree_batch_results`
+        calls on the protocol of its first session, and only same-shape
+        lanes share a segmented kernel dispatch.  A session's protocol is
+        fixed for its lifetime, so all of one session's operations land in
+        one group, in submission order.
         """
-        groups: Dict[Tuple[int, int, int], List[PendingOp]] = {}
-        for op in ops:
-            session = op.entry.session
-            key = (
-                session.universe_size,
-                session.max_set_size,
-                tree_protocol_rounds(session.max_set_size, session.rounds),
-            )
-            groups.setdefault(key, []).append(op)
+        groups: Dict[Tuple[int, int, int], List[Tuple[PendingOp, int]]] = {}
+        for op, seed in pooled:
+            tree = op.entry.session.protocol
+            key = (tree.universe_size, tree.max_set_size, tree.rounds)
+            groups.setdefault(key, []).append((op, seed))
 
         total_ops = 0
         batch_stats = TreeBatchStats()
         pooled_groups = 0
-        for (universe_size, max_set_size, protocol_rounds), group in groups.items():
-            if len(group) == 1:
+        for (universe_size, max_set_size, rounds), group in groups.items():
+            ops = [op for op, _ in group]
+            if len(ops) == 1:
                 # A lone lane pools with nobody; the scalar path is the
                 # same computation without the lockstep plumbing.
-                self._execute_scalar(group[0])
+                self._execute_scalar(ops[0])
                 continue
-            # Pass 1: assign per-operation seeds in submission order,
-            # exactly as _execute_coalesced does for one-round ops.
-            next_index: Dict[str, int] = {}
-            requests = []
-            for op in group:
-                session = op.entry.session
-                key = op.entry.key
-                index = next_index.get(key, session.stats().operations)
-                next_index[key] = index + 1
-                effective_rounds = (
-                    session.rounds
-                    if session.rounds is not None
-                    else optimal_rounds(session.max_set_size)
+            requests = [
+                (
+                    op.alice_set,
+                    op.bob_set,
+                    seed,
+                    op.entry.session.rounds_parameter,
                 )
-                requests.append(
-                    (
-                        op.alice_set,
-                        op.bob_set,
-                        session.operation_seed(index),
-                        effective_rounds,
-                    )
-                )
-
-            protocol = self._tree_protocol(
-                universe_size, max_set_size, protocol_rounds
-            )
+                for op, seed in group
+            ]
+            protocol = ops[0].entry.session.protocol
             results = []
             for start in range(0, len(requests), TREE_CHUNK_OPS):
                 results.extend(
                     tree_batch_results(
-                        universe_size,
-                        max_set_size,
-                        protocol_rounds,
+                        protocol,
                         requests[start : start + TREE_CHUNK_OPS],
                         prevalidated=True,
                         stats=batch_stats,
-                        protocol=protocol,
                     )
                 )
             pooled_groups += 1
             total_ops += len(group)
             self.stats.batches += 1
             self.stats.coalesced_ops += len(group)
-            label = (
-                f"tree/n={universe_size}/k={max_set_size}/r={protocol_rounds}"
-            )
+            label = f"tree/n={universe_size}/k={max_set_size}/r={rounds}"
             self.stats.group_sizes[label] = (
                 self.stats.group_sizes.get(label, 0) + len(group)
             )
             _metrics.counter("serve.ops.coalesced").inc(len(group))
             _metrics.counter("serve.batch.dispatches").inc()
             _metrics.histogram("serve.batch.ops").observe(len(group))
-
-            # Pass 2: bill in the submission order the seeds were assigned
-            # in, so per-session histories match the scalar path.
-            self._bill(group, results)
+            self._bill(ops, results)
 
         if total_ops:
             self.stats.lanes_total += batch_stats.affine_lanes

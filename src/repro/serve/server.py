@@ -491,8 +491,12 @@ class IntersectionServer:
             raise ServeError(
                 "bad-request", "'faults' must be a fault-spec string"
             )
+        amplified = request.get("amplified", False)
+        if not isinstance(amplified, bool):
+            raise ServeError("bad-request", "'amplified' must be a boolean")
+        # The rest (model, bounds, round budget) is the protocol chooser's
+        # to refuse: the registry answers its ValueError with bad-request.
         model = request.get("model", "shared")
-        amplified = bool(request.get("amplified", False))
         entry = self.registry.open(
             key,
             universe_size=universe_size,

@@ -10,8 +10,9 @@ every few minutes, a similarity service answers a stream of queries.  An
 * cumulative accounting across operations (total bits, per-operation
   history) -- the numbers a capacity planner actually tracks;
 * the per-call knobs of :func:`~repro.core.api.compute_intersection`
-  (rounds, amplification) are fixed session-wide, like a negotiated
-  protocol version.
+  (rounds, randomness model, amplification) are fixed session-wide, like
+  a negotiated protocol version: the session chooses its protocol once,
+  at construction, and every operation runs that object.
 
 ::
 
@@ -27,7 +28,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import FrozenSet, Iterable, List, Optional
 
-from repro.core.api import IntersectionResult, compute_intersection
+from repro.core.api import IntersectionResult, intersection_result
+from repro.core.tradeoff import choose_protocol
 from repro.perf.executor import derive_seed
 
 __all__ = [
@@ -150,6 +152,9 @@ class IntersectionSession:
         accounting and returns the certified-superset contract instead
         of raising.  Only the shared-coin, unamplified shape supports
         faults (the retry loop drives the protocol directly).
+    :raises ValueError: at construction, for parameters
+        :func:`~repro.core.tradeoff.choose_protocol` refuses, or for a
+        fault spec on another shape.
     """
 
     def __init__(
@@ -170,10 +175,18 @@ class IntersectionSession:
         self.amplified = amplified
         self.seed = seed
         self.faults = faults
+        #: The protocol every operation runs, chosen once from the
+        #: parameters above, and the round parameter its results report.
+        self.protocol, self.rounds_parameter = choose_protocol(
+            universe_size,
+            max_set_size,
+            rounds=rounds,
+            model=model,
+            amplified=amplified,
+        )
         self._stats = SessionStats()
         self._fault_model = None
         self._fault_seed = 0
-        self._fault_protocol = None
         if faults is not None:
             if model != "shared" or amplified:
                 raise ValueError(
@@ -204,24 +217,16 @@ class IntersectionSession:
             index = self._stats.operations
         return derive_seed(self.seed, index)
 
-    def _operation_seed(self) -> int:
-        # Deterministic per-operation derivation; avoids coin reuse across
-        # operations without any renegotiation bits.
-        return self.operation_seed()
-
     def _run(self, kind: str, alice_set, bob_set) -> IntersectionResult:
         if self._fault_model is not None:
             return self._run_faulted(kind, alice_set, bob_set)
-        result = compute_intersection(
-            alice_set,
-            bob_set,
-            universe_size=self.universe_size,
-            max_set_size=self.max_set_size,
-            rounds=self.rounds,
-            model=self.model,
-            amplified=self.amplified,
-            seed=self._operation_seed(),
+        # Each operation draws its own region of the common random string
+        # (the next operation seed), so no coins are reused across
+        # operations and no renegotiation bits are spent.
+        outcome = self.protocol.run(
+            alice_set, bob_set, seed=self.operation_seed()
         )
+        result = intersection_result(outcome, self.rounds_parameter)
         self._stats.record(kind, result)
         return result
 
@@ -234,22 +239,12 @@ class IntersectionSession:
         ``S n T`` -- and the record carries ``degraded`` so accounting,
         the serve layer, and load reports can price the difference.
         """
-        from repro.core.tradeoff import optimal_rounds, select_protocol
         from repro.faults.plan import FaultPlan
         from repro.faults.retry import run_with_retry
 
-        effective_rounds = (
-            self.rounds
-            if self.rounds is not None
-            else optimal_rounds(self.max_set_size)
-        )
-        if self._fault_protocol is None:
-            self._fault_protocol = select_protocol(
-                self.universe_size, self.max_set_size, rounds=effective_rounds
-            )
         index = self._stats.operations
         outcome = run_with_retry(
-            self._fault_protocol,
+            self.protocol,
             alice_set,
             bob_set,
             seed=self.operation_seed(index),
@@ -260,7 +255,7 @@ class IntersectionSession:
             bits=outcome.total_bits,
             messages=outcome.total_messages,
             protocol=outcome.protocol_name,
-            rounds_parameter=effective_rounds,
+            rounds_parameter=self.rounds_parameter,
             parties_agree=outcome.agreed,
         )
         self._stats.record(kind, result, degraded=outcome.degraded)

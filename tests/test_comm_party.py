@@ -173,6 +173,7 @@ class TestForeignEffectIsAViolation:
 
         class ForeignTree:
             name = "stub"
+            universe_size, max_set_size, rounds = 1 << 8, 4, 2
 
             def party_with_pending_sweeps(self, ctx):
                 started.append(ctx.role)
@@ -183,8 +184,7 @@ class TestForeignEffectIsAViolation:
 
         with pytest.raises(ProtocolViolation, match="alice yielded"):
             tree_batch_results(
-                1 << 8, 4, 2, [(frozenset({1}), frozenset({2}), 7, 2)],
-                protocol=ForeignTree(),
+                ForeignTree(), [(frozenset({1}), frozenset({2}), 7, 2)]
             )
         assert started == ["alice"]
 
@@ -194,6 +194,7 @@ def test_barrier_lanes_resume_only_through_send():
 
     class SendOnlyTree:
         name = tree.name
+        universe_size, max_set_size, rounds = 1 << 12, 16, 2
 
         def party_with_pending_sweeps(self, ctx):
             return _SendOnly(tree.party_with_pending_sweeps(ctx))
@@ -202,9 +203,7 @@ def test_barrier_lanes_resume_only_through_send():
         (frozenset(range(0, 32, 2)), frozenset(range(0, 48, 3)), seed, 2)
         for seed in (1, 2, 3)
     ]
-    results = tree_batch_results(
-        1 << 12, 16, 2, requests, protocol=SendOnlyTree()
-    )
+    results = tree_batch_results(SendOnlyTree(), requests)
     for (s, t, seed, rounds), result in zip(requests, results):
         engine = compute_intersection(
             s, t, universe_size=1 << 12, max_set_size=16, rounds=rounds,

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.core.amplify import AmplifiedIntersection
+from repro.core.private_model import PrivateCoinIntersection
 from repro.core.tradeoff import (
+    choose_protocol,
     communication_bound,
     optimal_rounds,
     select_protocol,
@@ -90,3 +93,41 @@ class TestSelectProtocol:
         for kwargs in ({}, {"rounds": 1}, {"rounds": 2}, {"deterministic": True}):
             protocol = select_protocol(1 << 16, 64, **kwargs)
             assert protocol.run(s, t, seed=0).correct_for(s, t)
+
+
+class TestChooseProtocol:
+    """The one rule behind compute_intersection, sessions and serving."""
+
+    def test_round_parameter_and_clamp_per_branch(self):
+        n, k = 1 << 20, 256  # log* k = 4
+        tree, r = choose_protocol(n, k, rounds=9)
+        assert (type(tree), tree.rounds, r) == (TreeProtocol, 4, 9)
+        one, r = choose_protocol(n, k, rounds=1)
+        assert (type(one), r) == (OneRoundHashingProtocol, 1)
+        # The private inner tree is clamped like the shared one; the
+        # amplified tree runs at the unclamped budget.
+        private, r = choose_protocol(n, k, rounds=9, model="private")
+        assert type(private) is PrivateCoinIntersection and r == 9
+        assert private.inner_factory(1 << 10).rounds == 4
+        amplified, r = choose_protocol(n, k, rounds=9, amplified=True)
+        assert type(amplified) is AmplifiedIntersection
+        assert (amplified.inner.rounds, r) == (9, 9)
+        trivial, r = choose_protocol(n, k, deterministic=True)
+        assert (type(trivial), r) == (TrivialExchangeProtocol, 4)
+
+    @pytest.mark.parametrize(
+        "n, k, kwargs",
+        [
+            (1 << 20, 8, {"rounds": 0}),
+            (1 << 20, 8, {"rounds": -2}),
+            (1 << 20, 8, {"model": "bogus"}),
+            (1 << 20, 8, {"model": 5}),
+            (0, 8, {}),
+            (1 << 20, 0, {}),
+        ],
+        ids=["rounds-0", "rounds-neg", "model-bogus", "model-int",
+             "universe-0", "k-0"],
+    )
+    def test_refusals(self, n, k, kwargs):
+        with pytest.raises(ValueError):
+            choose_protocol(n, k, **kwargs)

@@ -4,7 +4,8 @@ The contract under test: :func:`tree_batch_results` is field-for-field
 identical to ``compute_intersection(...)`` on the same arguments for every
 multi-round shape, chunk boundaries and lane count never change any lane's
 coins or transcript, and the coalescer's group keying never pools
-different ``(n, k, rounds)`` shapes into one dispatch.
+different ``(n, k, rounds)`` shapes into one dispatch.  The protocols come
+from sessions (the coalescer's source) or are built directly.
 """
 
 import asyncio
@@ -14,15 +15,12 @@ import pytest
 
 from conftest import make_instance
 from repro.core.api import compute_intersection
-from repro.core.tradeoff import optimal_rounds
+from repro.core.tree_protocol import TreeProtocol
 from repro.perf.cache import hot_caches_disabled
 from repro.serve import BatchCoalescer, SessionRegistry
-from repro.serve.barrier import (
-    TreeBatchStats,
-    tree_batch_results,
-    tree_protocol_rounds,
-)
+from repro.serve.barrier import TreeBatchStats, tree_batch_results
 from repro.serve.coalescer import PendingOp, run_scalar_operation
+from repro.session import IntersectionSession
 
 
 def _requests(seed, universe, k, rounds, count, overlaps=(0.0, 0.5, 1.0)):
@@ -54,19 +52,21 @@ class TestTreeBatchExecutor:
         [(1 << 16, 16, 2), (1 << 20, 64, 2), (1 << 24, 64, 3)],
     )
     def test_identical_to_engine_path(self, universe, k, rounds):
-        clamped = tree_protocol_rounds(k, rounds)
+        protocol = IntersectionSession(universe, k, rounds=rounds).protocol
         requests = _requests(rounds, universe, k, rounds, 6)
-        results = tree_batch_results(universe, k, clamped, requests)
+        results = tree_batch_results(protocol, requests)
         _assert_identical(requests, results, universe, k)
 
     def test_identical_at_optimal_rounds(self):
+        # Unset and past log* k, the session's tree runs at log* k = 4;
+        # each result reports the session's own round parameter.
         universe, k = 1 << 20, 64
-        rounds = optimal_rounds(k)
-        requests = _requests(9, universe, k, rounds, 4)
-        results = tree_batch_results(
-            universe, k, tree_protocol_rounds(k, None), requests
-        )
-        _assert_identical(requests, results, universe, k)
+        for rounds in (None, 9):
+            session = IntersectionSession(universe, k, rounds=rounds)
+            assert session.protocol.rounds == 4
+            requests = _requests(9, universe, k, session.rounds_parameter, 4)
+            results = tree_batch_results(session.protocol, requests)
+            _assert_identical(requests, results, universe, k)
 
     def test_empty_and_tiny_sets(self):
         universe, k = 1 << 16, 16
@@ -75,20 +75,23 @@ class TestTreeBatchExecutor:
             (frozenset({3}), frozenset(), 6, 2),
             (frozenset({1, 2}), frozenset({2, 9}), 7, 2),
         ]
-        results = tree_batch_results(universe, k, 2, requests)
+        results = tree_batch_results(
+            TreeProtocol(universe, k, rounds=2), requests
+        )
         _assert_identical(requests, results, universe, k)
 
     def test_chunk_boundaries_do_not_change_results(self):
         universe, k = 1 << 20, 64
+        protocol = TreeProtocol(universe, k, rounds=2)
         requests = _requests(4, universe, k, 2, 9)
-        whole = tree_batch_results(universe, k, 2, requests)
+        whole = tree_batch_results(protocol, requests)
         chunked = []
         for size in (1, 3, 5):
             chunked_results = []
             for start in range(0, len(requests), size):
                 chunked_results.extend(
                     tree_batch_results(
-                        universe, k, 2, requests[start : start + size]
+                        protocol, requests[start : start + size]
                     )
                 )
             chunked.append(chunked_results)
@@ -100,25 +103,26 @@ class TestTreeBatchExecutor:
         # through the pooled fingerprint_sweep_segments dispatch; results
         # must not change by a bit.
         universe, k = 1 << 20, 64
+        protocol = TreeProtocol(universe, k, rounds=2)
         requests = _requests(11, universe, k, 2, 4)
-        warm = tree_batch_results(universe, k, 2, requests)
+        warm = tree_batch_results(protocol, requests)
         with hot_caches_disabled():
             cold_stats = TreeBatchStats()
-            cold = tree_batch_results(
-                universe, k, 2, requests, stats=cold_stats
-            )
+            cold = tree_batch_results(protocol, requests, stats=cold_stats)
         assert cold == warm
         assert cold_stats.fingerprint_segments > 0
 
     def test_rejects_one_round_shape(self):
         with pytest.raises(ValueError):
-            tree_batch_results(1 << 16, 16, 1, [])
+            tree_batch_results(TreeProtocol(1 << 16, 16, rounds=1), [])
 
     def test_stats_account_pooled_dispatches(self):
         universe, k = 1 << 20, 64
         stats = TreeBatchStats()
         requests = _requests(2, universe, k, 2, 6)
-        tree_batch_results(universe, k, 2, requests, stats=stats)
+        tree_batch_results(
+            TreeProtocol(universe, k, rounds=2), requests, stats=stats
+        )
         assert stats.barriers > 0
         assert stats.affine_segments > 0
         # The bucket sweep alone contributes |S| + |T| lanes per lane pair.
@@ -128,18 +132,12 @@ class TestTreeBatchExecutor:
         assert stats.fingerprint_values > 0
 
     def test_shared_protocol_instance_identical(self):
-        from repro.core.tree_protocol import TreeProtocol
-
         universe, k = 1 << 20, 64
         requests = _requests(6, universe, k, 2, 4)
-        fresh = tree_batch_results(universe, k, 2, requests)
+        fresh = tree_batch_results(TreeProtocol(universe, k, rounds=2), requests)
         shared = TreeProtocol(universe, k, rounds=2)
-        reused = tree_batch_results(
-            universe, k, 2, requests, protocol=shared
-        )
-        reused_again = tree_batch_results(
-            universe, k, 2, requests, protocol=shared
-        )
+        reused = tree_batch_results(shared, requests)
+        reused_again = tree_batch_results(shared, requests)
         assert fresh == reused == reused_again
 
 

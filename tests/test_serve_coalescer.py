@@ -22,6 +22,7 @@ from repro.serve.coalescer import (
     PendingOp,
     one_round_batch_results,
     run_scalar_operation,
+    tree_coalescible,
 )
 from repro.serve.wire import ServeError
 from repro.session import IntersectionSession
@@ -83,6 +84,30 @@ class TestCoalescible:
         assert not coalescible(
             IntersectionSession(1 << 20, 64, rounds=1, amplified=True)
         )
+        assert not coalescible(
+            IntersectionSession(
+                1 << 20, 64, rounds=1, faults="bitflip@0.0:seed=1"
+            )
+        )
+
+    def test_tree_shapes(self):
+        # The session's protocol decides: the shared tree at rounds >= 2,
+        # with no fault plan, is the round-barrier shape.
+        assert tree_coalescible(IntersectionSession(1 << 20, 64, rounds=2))
+        assert tree_coalescible(IntersectionSession(1 << 20, 64))
+        assert tree_coalescible(IntersectionSession(1 << 20, 64, rounds=9))
+        for session in (
+            IntersectionSession(1 << 20, 64, rounds=1),
+            # log* 2 == 1: a budget of 5 clamps to the tree's r = 1 base
+            # case, which neither executor reproduces.
+            IntersectionSession(1 << 20, 2, rounds=5),
+            IntersectionSession(1 << 20, 64, rounds=2, model="private"),
+            IntersectionSession(1 << 20, 64, rounds=2, amplified=True),
+            IntersectionSession(
+                1 << 20, 64, rounds=2, faults="bitflip@0.0:seed=1"
+            ),
+        ):
+            assert not tree_coalescible(session)
 
 
 def _cache_sizes(lifetime):

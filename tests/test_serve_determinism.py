@@ -33,6 +33,18 @@ MULTIROUND_MIX = LoadMix(
     rounds=2,
 )
 
+#: Mixed shapes at log* k: the k=2 sessions run the one-round exchange and
+#: the k=16 and k=64 sessions the verification tree, in the same ticks.
+MIXED_SHAPE_MIX = LoadMix(
+    name="determinism-mixed",
+    seed=7,
+    sessions=12,
+    ops_per_session=6,
+    universe_size=1 << 24,
+    set_sizes=(2, 64, 16),
+    rounds=None,
+)
+
 #: A damaged channel: operations run the retry loop and some degrade; the
 #: degraded flag is part of the counters fingerprint, so the three-way
 #: comparison also pins *which* operations degraded.
@@ -130,6 +142,31 @@ class TestMultiRoundDeterminism:
         # The barrier path must actually have run for this to mean
         # anything: multi-round ops coalesce whenever >= 2 same-shape
         # lanes land in one tick.
+        assert report.coalesced_ops > 0
+
+
+class TestMixedShapeDeterminism:
+    """The three-way gate over one-round and tree sessions sharing ticks."""
+
+    @pytest.fixture(scope="class")
+    def serial_reference(self):
+        return run_mix_serial(MIXED_SHAPE_MIX)
+
+    def test_async_scalar_matches_serial(self, serial_reference):
+        report = run_load(
+            MIXED_SHAPE_MIX, coalesce=False, tick_s=0.001, check_serial=True
+        )
+        assert report.shed == 0 and not report.errors
+        assert report.fingerprint == serial_reference["fingerprint"]
+        assert report.serial_match is True
+
+    def test_async_coalesced_matches_serial(self, serial_reference):
+        report = run_load(
+            MIXED_SHAPE_MIX, coalesce=True, tick_s=0.001, check_serial=True
+        )
+        assert report.shed == 0 and not report.errors
+        assert report.fingerprint == serial_reference["fingerprint"]
+        assert report.serial_match is True
         assert report.coalesced_ops > 0
 
 

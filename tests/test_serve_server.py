@@ -15,6 +15,7 @@ import pytest
 
 from conftest import make_instance
 from repro.obs import metrics
+from repro.perf.executor import derive_seed
 from repro.serve import IntersectionServer, ServeConfig
 from repro.serve.loadgen import LoadMix, generate_schedule, run_mix_serial
 from repro.serve.wire import FrameReader, encode_frame
@@ -128,6 +129,45 @@ class TestControlOps:
             assert bad["error"]["type"] == "bad-request"
             weird = await _ask(frames, writer, {"op": "frobnicate"})
             assert weird["error"]["type"] == "bad-request"
+            writer.close()
+
+        _with_server(ServeConfig(), scenario)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"rounds": 0},
+            {"rounds": -2},
+            {"model": "bogus"},
+            {"model": 5},
+            {"universe": 0},
+            {"k": 0},
+            # Only a JSON bool turns amplification on or off.
+            {"amplified": "false"},
+            {"amplified": "no"},
+            {"amplified": {"x": 1}},
+            {"amplified": 1},
+        ],
+        ids=["rounds-0", "rounds-neg", "model-bogus", "model-int",
+             "universe-0", "k-0", "amplified-false-str", "amplified-no-str",
+             "amplified-object", "amplified-int"],
+    )
+    def test_open_refuses_what_the_chooser_refuses(self, fields):
+        # A refused open answers bad-request at once: no session is opened
+        # and no open index is used, so the next open still gets the
+        # lineage's first seed.
+        async def scenario(server):
+            frames, writer = await _client(server)
+            request = {"op": "open", "session": "a", "universe": 1 << 20,
+                       "k": 8, **fields}
+            refused = await _ask(frames, writer, request)
+            assert refused["error"]["type"] == "bad-request"
+            assert len(server.registry) == 0
+            opened = await _ask(
+                frames, writer,
+                {"op": "open", "session": "a", "universe": 1 << 20, "k": 8},
+            )
+            assert opened["seed"] == derive_seed(0, 0)
             writer.close()
 
         _with_server(ServeConfig(), scenario)

@@ -3,6 +3,8 @@
 import math
 from fractions import Fraction
 
+import pytest
+
 from conftest import make_instance
 from repro.perf.executor import derive_seed
 from repro.session import IntersectionSession
@@ -129,3 +131,33 @@ class TestSessionModes:
         session = IntersectionSession(1 << 18, 64, model="private")
         s, t = make_instance(rng, 1 << 18, 64, 0.5)
         assert session.intersect(s, t) == s & t
+
+    @pytest.mark.parametrize(
+        "n, k, kwargs",
+        [
+            (1 << 20, 8, {"rounds": 0}),
+            (1 << 20, 8, {"rounds": -2}),
+            (1 << 20, 8, {"model": "bogus"}),
+            (0, 8, {}),
+            (1 << 20, 0, {}),
+        ],
+        ids=["rounds-0", "rounds-neg", "model-bogus", "universe-0", "k-0"],
+    )
+    def test_refused_parameters_raise_at_construction(self, n, k, kwargs):
+        # The protocol is chosen once, at construction: a parameter the
+        # chooser refuses never reaches an operation.
+        with pytest.raises(ValueError):
+            IntersectionSession(n, k, **kwargs)
+
+    def test_protocol_chosen_once(self, rng):
+        session = IntersectionSession(1 << 18, 64, rounds=9)
+        protocol = session.protocol
+        assert (protocol.rounds, session.rounds_parameter) == (4, 9)
+        s, t = make_instance(rng, 1 << 18, 64, 0.5)
+        session.intersect(s, t)
+        session.jaccard(s, t)
+        assert session.protocol is protocol
+        assert all(
+            record.protocol == "verification-tree"
+            for record in session.stats().history
+        )
