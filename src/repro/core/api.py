@@ -15,11 +15,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional
 
 from repro.core.tradeoff import choose_protocol
-from repro.protocols.base import (
-    IntersectionOutcome,
-    as_input_set,
-    validate_set_pair,
-)
+from repro.protocols.base import IntersectionOutcome, as_input_set
 
 __all__ = ["IntersectionResult", "compute_intersection", "intersection_result"]
 
@@ -79,17 +75,23 @@ def compute_intersection(
         (``O(k log(n/k))`` bits; incompatible with ``model="private"``
         pointlessly but allowed).
     :param seed: replay seed for all randomness.
+    :raises ValueError: for parameters
+        :func:`~repro.core.tradeoff.choose_protocol` refuses.  This is
+        checked first: a refused parameter raises before a bad set does.
+    :raises InvalidInput: for a set that is not a valid input of ``(n,
+        k)``, from the protocol run's one validation pass, before any bit
+        is sent.
     """
     s = as_input_set("alice", alice_set)
     t = as_input_set("bob", bob_set)
     if universe_size is None:
         # Infer from the int members only: any other member fails the
-        # validation below with InvalidInput, not max() or bit_length().
+        # protocol run's validation with InvalidInput, not max() or
+        # bit_length().
         largest = max([x for x in s | t if isinstance(x, int)] + [1])
         universe_size = 1 << (largest.bit_length() + 1)
     if max_set_size is None:
         max_set_size = max(len(s), len(t), 1)
-    validate_set_pair(s, t, universe_size, max_set_size)
     protocol, rounds_parameter = choose_protocol(
         universe_size,
         max_set_size,

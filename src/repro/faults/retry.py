@@ -44,7 +44,7 @@ from repro.faults.attempts import run_attempts
 from repro.faults.plan import FaultPlan
 from repro.faults.state import STATE as _FAULTS
 from repro.obs.state import STATE as _OBS
-from repro.protocols.base import validate_set_pair
+from repro.protocols.base import as_input_set
 
 __all__ = ["RetryPolicy", "RobustOutcome", "attempt_seed", "run_with_retry"]
 
@@ -171,14 +171,17 @@ def run_with_retry(
         process-global plan if one is installed (``REPRO_FAULTS`` /
         :func:`repro.faults.plan.install`), else a reliable channel.
     :returns: a :class:`RobustOutcome`; never raises on channel damage.
-        A malformed instance raises ``ValueError`` before any attempt
-        runs, and an attempt's error that no fault explains propagates
-        (see :mod:`repro.faults.attempts`).
+        A malformed instance raises
+        :class:`~repro.protocols.base.InvalidInput` from the first
+        attempt's validation, before any bit is sent, and an attempt's
+        error that no fault explains propagates (see
+        :mod:`repro.faults.attempts`).
     """
     policy = policy if policy is not None else RetryPolicy()
-    s, t = validate_set_pair(
-        alice_set, bob_set, protocol.universe_size, protocol.max_set_size
-    )
+    # Frozen once: every attempt runs on them, and an exhausted budget
+    # returns them as the certified supersets.
+    s = as_input_set("alice", alice_set)
+    t = as_input_set("bob", bob_set)
     if plan is None and _FAULTS.active:
         # Resolve the global plan here (rather than letting the engine do
         # it) so the attempt loop can read its fault counters.

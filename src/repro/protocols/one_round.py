@@ -29,6 +29,7 @@ from repro.hashing.pairwise import PairwiseHash, sample_pairwise_hash
 from repro.kernels import sort_ints
 from repro.protocols.base import SetIntersectionProtocol
 from repro.util.bits import BitString, decode_fixed_list, encode_fixed_list
+from repro.util.rng import SharedRandomness
 
 __all__ = ["OneRoundHashingProtocol"]
 
@@ -58,13 +59,14 @@ class OneRoundHashingProtocol(SetIntersectionProtocol):
             )
         self.confidence_exponent = confidence_exponent
 
-    def _shared_hash(self, ctx: PartyContext) -> PairwiseHash:
-        """The hash both parties derive from the common random string."""
+    def shared_hash(self, shared: SharedRandomness) -> PairwiseHash:
+        """The hash both parties derive from the common random string
+        ``shared`` (the pooled server executor draws it here too)."""
         range_size = collision_free_range(
             2 * self.max_set_size, self.confidence_exponent
         )
         return sample_pairwise_hash(
-            self.universe_size, range_size, ctx.shared.stream("one-round/h")
+            self.universe_size, range_size, shared.stream("one-round/h")
         )
 
     def _filter(self, own_set, own_hash_fn, received: BitString) -> FrozenSet[int]:
@@ -83,14 +85,14 @@ class OneRoundHashingProtocol(SetIntersectionProtocol):
 
     def alice(self, ctx: PartyContext) -> Generator:
         """Send ``h(S)``; receive ``h(T)``; keep matching elements."""
-        hash_fn = self._shared_hash(ctx)
+        hash_fn = self.shared_hash(ctx.shared)
         yield Send(self._encode_hashes(hash_fn, ctx.input))
         received = yield Recv()
         return self._filter(ctx.input, hash_fn, received)
 
     def bob(self, ctx: PartyContext) -> Generator:
         """Receive ``h(S)``; send ``h(T)``; keep matching elements."""
-        hash_fn = self._shared_hash(ctx)
+        hash_fn = self.shared_hash(ctx.shared)
         received = yield Recv()
         yield Send(self._encode_hashes(hash_fn, ctx.input))
         return self._filter(ctx.input, hash_fn, received)

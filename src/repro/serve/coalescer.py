@@ -13,11 +13,11 @@ Saglam-Tardos and Huang-Pettie-Zhang reach per-instance, reached here by
 aggregate traffic.
 
 **Bit identity is the contract.**  The batched executor
-(:func:`one_round_batch_results`) re-derives exactly the coins the engine
-path would draw (same ``SharedRandomness`` labels, same hot-cached
-``sample_pairwise_hash``), computes the same outputs, and charges the
-exact wire cost the engine's transcript would have counted (gamma-coded
-count + fixed-width run per message, 2 messages).  The equivalence suite
+(:func:`one_round_batch_results`) draws its coins from the protocol's own
+:meth:`~repro.protocols.one_round.OneRoundHashingProtocol.shared_hash`,
+computes the same outputs, and charges the exact wire cost the engine's
+transcript would have counted (:func:`~repro.util.bits.fixed_list_bits`
+per message, 2 messages).  The equivalence suite
 (``tests/test_serve_coalescer.py``) pins every field of
 :class:`~repro.core.api.IntersectionResult` against the per-session
 scalar path; a coalesced answer that differs by one bit is a test
@@ -31,20 +31,21 @@ tree at ``rounds >= 2`` through the round-barrier lockstep driver
 only same-shape sessions share a dispatch.  Everything else takes the
 per-session scalar path inside the same drain loop, so enabling
 coalescing never changes *what* is computed, only how many Python
-dispatches it costs.
+dispatches it costs.  Every path ends the same way: the session records
+the result (:meth:`~repro.session.IntersectionSession.record_operation`),
+:func:`~repro.session.operation_value` derives the answer, and one step
+bills and answers the op.
 """
 
 from __future__ import annotations
 
 import asyncio
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.api import IntersectionResult
-from repro.hashing.families import collision_free_range
-from repro.hashing.pairwise import sample_pairwise_hash
 from repro.kernels import affine_image_segments
 from repro.obs import metrics as _metrics
 from repro.obs.state import STATE as _OBS
@@ -54,12 +55,17 @@ from repro.protocols.one_round import OneRoundHashingProtocol
 from repro.serve.barrier import TreeBatchStats, tree_batch_results
 from repro.serve.registry import ServedSession, SessionRegistry
 from repro.serve.wire import ServeError
-from repro.session import IntersectionSession, jaccard_from_common
+from repro.session import (
+    OP_KINDS,
+    IntersectionSession,
+    OperationRecord,
+    operation_value,
+)
 from repro.util import hotcache
+from repro.util.bits import fixed_list_bits
 from repro.util.rng import SharedRandomness
 
 __all__ = [
-    "OP_KINDS",
     "PendingOp",
     "BatchCoalescer",
     "coalescible",
@@ -69,14 +75,6 @@ __all__ = [
 ]
 
 _LOG = logging.getLogger(__name__)
-
-#: The operation kinds a session serves (the wire ``op`` values).
-OP_KINDS = ("intersect", "size", "jaccard", "contains-any")
-
-#: The confidence exponent the one-round protocol runs with when selected
-#: by the tradeoff layer (its constructor default; the batch executor must
-#: match it coin for coin).
-_ONE_ROUND_CONFIDENCE = 3
 
 #: Maximum lanes per round-barrier lockstep run.  Pooling more sessions
 #: widens the kernel dispatches, but every in-flight lane holds its
@@ -123,11 +121,6 @@ def tree_coalescible(session: IntersectionSession) -> bool:
     )
 
 
-def _gamma_bits(value: int) -> int:
-    """Wire width of one Elias-gamma code (``BitWriter.write_gamma``)."""
-    return 2 * (value + 1).bit_length() - 1
-
-
 def one_round_batch_results(
     requests: List[Tuple[int, int, Any, Any, int]],
     *,
@@ -149,6 +142,8 @@ def one_round_batch_results(
     """
     segments: List[Tuple[List[int], int, int, int, int]] = []
     prepared = []
+    # The protocol object the tradeoff layer selects for each shape.
+    protocols: Dict[Tuple[int, int], OneRoundHashingProtocol] = {}
     for universe_size, max_set_size, alice_set, bob_set, seed in requests:
         if prevalidated:
             s, t = alice_set, bob_set
@@ -156,14 +151,12 @@ def one_round_batch_results(
             s, t = validate_set_pair(
                 alice_set, bob_set, universe_size, max_set_size
             )
-        range_size = collision_free_range(
-            2 * max_set_size, _ONE_ROUND_CONFIDENCE
-        )
-        # Exactly the coins the engine path draws: the protocol samples its
-        # shared hash from SharedRandomness(seed).stream("one-round/h").
-        hash_fn = sample_pairwise_hash(
-            universe_size, range_size, SharedRandomness(seed).stream("one-round/h")
-        )
+        protocol = protocols.get((universe_size, max_set_size))
+        if protocol is None:
+            protocol = OneRoundHashingProtocol(universe_size, max_set_size)
+            protocols[universe_size, max_set_size] = protocol
+        # Exactly the coins the engine path draws, from the same helper.
+        hash_fn = protocol.shared_hash(SharedRandomness(seed))
         # Membership below is per-element and the billed cost depends only
         # on sizes, so lane order within a segment is free to be iteration
         # order -- no sort needed for bit identity.
@@ -191,22 +184,19 @@ def one_round_batch_results(
             compress(t_list, map(set(images_s).__contains__, images_t))
         )
         # The exact transcript cost: each party sends encode_fixed_list of
-        # its sorted hash values -- a gamma-coded count plus output_bits
-        # per value -- and (count + 1 >= 1, so) both payloads are nonempty:
-        # exactly 2 messages under the engine's merge convention.
+        # its sorted hash values, and (its gamma-coded count is never
+        # empty, so) both payloads are nonempty: exactly 2 messages under
+        # the engine's merge convention.
         width = hash_fn.output_bits
-        bits = (
-            _gamma_bits(len(s_list))
-            + len(s_list) * width
-            + _gamma_bits(len(t_list))
-            + len(t_list) * width
+        bits = fixed_list_bits(len(s_list), width) + fixed_list_bits(
+            len(t_list), width
         )
         results.append(
             IntersectionResult(
                 intersection=alice_output,
                 bits=bits,
                 messages=2,
-                protocol="one-round-hashing",
+                protocol=OneRoundHashingProtocol.name,
                 rounds_parameter=1,
                 parties_agree=alice_output == bob_output,
             )
@@ -214,50 +204,24 @@ def one_round_batch_results(
     return results
 
 
-def _operation_value(
-    kind: str, alice_set, bob_set, result: IntersectionResult
-) -> Any:
-    """The kind-specific answer derived from one operation's result."""
-    if kind == "intersect":
-        return result.intersection
-    if kind == "size":
-        return len(result.intersection)
-    if kind == "jaccard":
-        return jaccard_from_common(
-            len(alice_set), len(bob_set), len(result.intersection)
-        )
-    if kind == "contains-any":
-        return bool(result.intersection)
-    raise ServeError("bad-request", f"unknown operation kind {kind!r}")
-
-
-def run_scalar_operation(entry: ServedSession, kind: str, alice_set, bob_set):
-    """The per-session scalar path: the session facade runs the engine.
+def run_scalar_operation(
+    entry: ServedSession, kind: str, alice_set, bob_set
+) -> Tuple[Any, OperationRecord]:
+    """The per-session scalar path: the session runs and records the op.
 
     Returns ``(value, record)`` -- the kind-specific answer plus the
     operation's accounting record.  This is both the coalescing-disabled
-    baseline and the fallback for non-coalescible shapes, so every
-    operation is answered from the same two pieces of state regardless of
-    execution strategy.  The sets may be raw (the serial oracle
-    :func:`~repro.serve.loadgen.run_mix_serial` passes lists), so an
-    :class:`~repro.protocols.base.InvalidInput` from the library call
-    still becomes a typed ``invalid-input`` failure.
+    baseline and the fallback for non-coalescible shapes.  The sets may be
+    raw (the serial oracle :func:`~repro.serve.loadgen.run_mix_serial`
+    passes lists), so an :class:`~repro.protocols.base.InvalidInput` from
+    the session still becomes a typed ``invalid-input`` failure.
     """
-    session = entry.session
+    if kind not in OP_KINDS:
+        raise ServeError("bad-request", f"unknown operation kind {kind!r}")
     try:
-        if kind == "intersect":
-            value: Any = session.intersect(alice_set, bob_set)
-        elif kind == "size":
-            value = session.intersection_size(alice_set, bob_set)
-        elif kind == "jaccard":
-            value = session.jaccard(alice_set, bob_set)
-        elif kind == "contains-any":
-            value = session.contains_any(alice_set, bob_set)
-        else:
-            raise ServeError("bad-request", f"unknown operation kind {kind!r}")
+        return entry.session.operate(kind, alice_set, bob_set)
     except InvalidInput as exc:
         raise ServeError("invalid-input", str(exc)) from None
-    return value, session.stats().history[-1]
 
 
 @dataclass
@@ -292,7 +256,6 @@ class CoalescerStats:
     scalar_ops: int = 0
     lanes_total: int = 0
     barriers: int = 0
-    group_sizes: Dict[str, int] = field(default_factory=dict)
 
     @property
     def lanes_per_batch(self) -> float:
@@ -487,65 +450,59 @@ class BatchCoalescer:
         except ServeError as exc:
             self._finish(op, error=exc)
             return
-        self.registry.bill(op.entry, _record_as_result(record))
+        self._answer(op, value, record)
+
+    def _answer(self, op: PendingOp, value: Any, record: OperationRecord) -> None:
+        """Bill one recorded operation and answer it: every path's last
+        step."""
+        self.registry.bill(record)
         self._finish(op, value=(value, record))
 
-    def _execute_coalesced(self, pooled: List[Tuple[PendingOp, int]]) -> None:
-        """One-round operations, each with its claimed seed: one dispatch."""
-        ops = []
-        requests = []
-        shape_counts: Dict[Tuple[int, int], int] = {}
-        for op, seed in pooled:
-            session = op.entry.session
-            ops.append(op)
-            requests.append(
-                (
-                    session.universe_size,
-                    session.max_set_size,
-                    op.alice_set,
-                    op.bob_set,
-                    seed,
-                )
-            )
-            shape = (session.universe_size, session.max_set_size)
-            shape_counts[shape] = shape_counts.get(shape, 0) + 1
-
-        results = one_round_batch_results(requests, prevalidated=True)
-        lanes = sum(len(op.alice_set) + len(op.bob_set) for op in ops)
-        self.stats.batches += 1
-        self.stats.coalesced_ops += len(ops)
-        self.stats.lanes_total += lanes
-        for (universe_size, max_set_size), count in shape_counts.items():
-            label = f"one-round/n={universe_size}/k={max_set_size}"
-            self.stats.group_sizes[label] = (
-                self.stats.group_sizes.get(label, 0) + count
-            )
-        _metrics.counter("serve.ops.coalesced").inc(len(ops))
-        _metrics.counter("serve.batch.dispatches").inc()
-        _metrics.histogram("serve.batch.lanes").observe(lanes)
-        _metrics.histogram("serve.batch.ops").observe(len(ops))
-        if _OBS.active:
-            _OBS.tracer.emit(
-                "serve.batch",
-                ops=len(ops),
-                lanes=lanes,
-                groups=len(shape_counts),
-            )
-
-        self._bill(ops, results)
-
-    def _bill(
-        self, ops: List[PendingOp], results: List[IntersectionResult]
+    def _answer_pooled(
+        self,
+        pooled: List[Tuple[PendingOp, int]],
+        results: List[IntersectionResult],
     ) -> None:
         """Record, bill and answer pooled results in submission order (the
         order their seeds were claimed in), so per-session histories are
         order-identical to the scalar path."""
-        for op, result in zip(ops, results):
-            op.entry.session.record_operation(op.kind, result)
-            self.registry.bill(op.entry, result)
-            record = op.entry.session.stats().history[-1]
-            value = _operation_value(op.kind, op.alice_set, op.bob_set, result)
-            self._finish(op, value=(value, record))
+        for (op, _), result in zip(pooled, results):
+            record = op.entry.session.record_operation(op.kind, result)
+            value = operation_value(
+                op.kind, op.alice_set, op.bob_set, result.intersection
+            )
+            self._answer(op, value, record)
+
+    def _account_pooled(self, batch_sizes: List[int], lanes: int, groups: int) -> None:
+        """Book one executor's pooled batches of one tick: one batch per
+        entry of ``batch_sizes`` (its op count), ``lanes`` kernel lanes
+        over ``groups`` shapes."""
+        ops = sum(batch_sizes)
+        self.stats.batches += len(batch_sizes)
+        self.stats.coalesced_ops += ops
+        self.stats.lanes_total += lanes
+        _metrics.counter("serve.ops.coalesced").inc(ops)
+        _metrics.counter("serve.batch.dispatches").inc(len(batch_sizes))
+        for size in batch_sizes:
+            _metrics.histogram("serve.batch.ops").observe(size)
+        _metrics.histogram("serve.batch.lanes").observe(lanes)
+        if _OBS.active:
+            _OBS.tracer.emit("serve.batch", ops=ops, lanes=lanes, groups=groups)
+
+    def _execute_coalesced(self, pooled: List[Tuple[PendingOp, int]]) -> None:
+        """One-round operations, each with its claimed seed: one dispatch."""
+        requests = []
+        shapes = set()
+        lanes = 0
+        for op, seed in pooled:
+            session = op.entry.session
+            shape = (session.universe_size, session.max_set_size)
+            requests.append((*shape, op.alice_set, op.bob_set, seed))
+            shapes.add(shape)
+            lanes += len(op.alice_set) + len(op.bob_set)
+        results = one_round_batch_results(requests, prevalidated=True)
+        self._account_pooled([len(pooled)], lanes, len(shapes))
+        self._answer_pooled(pooled, results)
 
     def _execute_tree(self, pooled: List[Tuple[PendingOp, int]]) -> None:
         """Multi-round operations: group by shape, lockstep each group.
@@ -565,15 +522,13 @@ class BatchCoalescer:
             key = (tree.universe_size, tree.max_set_size, tree.rounds)
             groups.setdefault(key, []).append((op, seed))
 
-        total_ops = 0
         batch_stats = TreeBatchStats()
-        pooled_groups = 0
-        for (universe_size, max_set_size, rounds), group in groups.items():
-            ops = [op for op, _ in group]
-            if len(ops) == 1:
+        batch_sizes = []
+        for group in groups.values():
+            if len(group) == 1:
                 # A lone lane pools with nobody; the scalar path is the
                 # same computation without the lockstep plumbing.
-                self._execute_scalar(ops[0])
+                self._execute_scalar(group[0][0])
                 continue
             requests = [
                 (
@@ -584,7 +539,7 @@ class BatchCoalescer:
                 )
                 for op, seed in group
             ]
-            protocol = ops[0].entry.session.protocol
+            protocol = group[0][0].entry.session.protocol
             results = []
             for start in range(0, len(requests), TREE_CHUNK_OPS):
                 results.extend(
@@ -595,41 +550,11 @@ class BatchCoalescer:
                         stats=batch_stats,
                     )
                 )
-            pooled_groups += 1
-            total_ops += len(group)
-            self.stats.batches += 1
-            self.stats.coalesced_ops += len(group)
-            label = f"tree/n={universe_size}/k={max_set_size}/r={rounds}"
-            self.stats.group_sizes[label] = (
-                self.stats.group_sizes.get(label, 0) + len(group)
-            )
-            _metrics.counter("serve.ops.coalesced").inc(len(group))
-            _metrics.counter("serve.batch.dispatches").inc()
-            _metrics.histogram("serve.batch.ops").observe(len(group))
-            self._bill(ops, results)
+            batch_sizes.append(len(group))
+            self._answer_pooled(group, results)
 
-        if total_ops:
-            self.stats.lanes_total += batch_stats.affine_lanes
+        if batch_sizes:
             self.stats.barriers += batch_stats.barriers
-            _metrics.histogram("serve.batch.lanes").observe(
-                batch_stats.affine_lanes
+            self._account_pooled(
+                batch_sizes, batch_stats.affine_lanes, len(batch_sizes)
             )
-            if _OBS.active:
-                _OBS.tracer.emit(
-                    "serve.batch",
-                    ops=total_ops,
-                    lanes=batch_stats.affine_lanes,
-                    groups=pooled_groups,
-                )
-
-
-def _record_as_result(record) -> IntersectionResult:
-    """Adapter so billing sees one shape for both execution paths."""
-    return IntersectionResult(
-        intersection=frozenset(),
-        bits=record.bits,
-        messages=record.messages,
-        protocol=record.protocol,
-        rounds_parameter=0,
-        parties_agree=True,
-    )

@@ -34,10 +34,11 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.perf.executor import derive_seed
 from repro.util import hotcache
-from repro.serve.coalescer import OP_KINDS, run_scalar_operation
+from repro.serve.coalescer import run_scalar_operation
 from repro.serve.registry import SessionRegistry
 from repro.serve.server import IntersectionServer, ServeConfig
 from repro.serve.wire import FrameReader, encode_frame
+from repro.session import OP_KINDS
 
 __all__ = [
     "LoadMix",

@@ -21,11 +21,10 @@ import hashlib
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.core.api import IntersectionResult
 from repro.obs import metrics as _metrics
 from repro.perf.executor import derive_seed
 from repro.serve.wire import ServeError
-from repro.session import IntersectionSession
+from repro.session import IntersectionSession, OperationRecord
 
 __all__ = ["ServedSession", "SessionRegistry"]
 
@@ -152,11 +151,11 @@ class SessionRegistry:
         _metrics.counter("serve.sessions.closed").inc()
         return entry
 
-    def bill(self, entry: ServedSession, result: IntersectionResult) -> None:
-        """Bill one completed operation to the metrics registry."""
+    def bill(self, record: OperationRecord) -> None:
+        """Bill one recorded operation to the metrics registry."""
         _metrics.counter("serve.ops").inc()
-        _metrics.histogram("serve.op.bits").observe(result.bits)
-        _metrics.histogram("serve.op.messages").observe(result.messages)
+        _metrics.histogram("serve.op.bits").observe(record.bits)
+        _metrics.histogram("serve.op.messages").observe(record.messages)
 
     def fingerprint(self) -> str:
         """One SHA-256 over every session's counters, sorted by key.

@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.obs import metrics as _metrics
 from repro.protocols.base import InvalidInput, validate_set_pair
-from repro.serve.coalescer import OP_KINDS, BatchCoalescer, PendingOp
+from repro.serve.coalescer import BatchCoalescer, PendingOp
 from repro.serve.registry import SessionRegistry
 from repro.serve.wire import (
     MAX_FRAME_BYTES,
@@ -46,6 +46,7 @@ from repro.serve.wire import (
     encode_frame,
     error_reply,
 )
+from repro.session import OP_KINDS
 
 __all__ = ["ServeConfig", "IntersectionServer", "SERVER_TRANSPORTS"]
 

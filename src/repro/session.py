@@ -26,35 +26,46 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import FrozenSet, Iterable, List, Optional
+from typing import Any, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.api import IntersectionResult, intersection_result
 from repro.core.tradeoff import choose_protocol
 from repro.perf.executor import derive_seed
+from repro.protocols.base import as_input_set
 
 __all__ = [
+    "OP_KINDS",
     "IntersectionSession",
     "OperationRecord",
     "SessionStats",
-    "jaccard_from_common",
+    "operation_value",
 ]
 
+#: The operation kinds a session serves (the wire ``op`` values).
+OP_KINDS = ("intersect", "size", "jaccard", "contains-any")
 
-def jaccard_from_common(alice_size: int, bob_size: int, common: int) -> Fraction:
-    """Jaccard similarity from ``|S|``, ``|T|`` and a computed ``|S n T|``
-    (1 for two empty sets).
 
-    Every path that answers a ``jaccard`` operation (the session, the
-    coalesced server path, the serial oracle) uses this one formula, so a
-    reply never depends on how the operation was dispatched.  The union is
-    ``|S| + |T| - common``: on an exact answer that is ``|S u T|``; on an
-    inexact one (``common`` overcounts) dividing by the true ``|S u T|``
-    instead would give a second, different answer.
+def operation_value(kind: str, alice_set, bob_set, common: FrozenSet[int]) -> Any:
+    """The answer to one ``kind`` operation on ``(S, T)``, from its
+    computed ``S n T`` (``common``).
+
+    Every path that answers an operation (the session, the pooled server
+    paths, the serial oracle) derives it here, so a reply never depends on
+    how the operation was dispatched.  ``jaccard`` divides by ``|S| + |T| -
+    |common|`` (1 for two empty sets): on an exact answer that is ``|S u
+    T|``; on an inexact one (``common`` overcounts) dividing by the true
+    ``|S u T|`` instead would give a second, different answer.
     """
-    union = alice_size + bob_size - common
-    if union == 0:
-        return Fraction(1)
-    return Fraction(common, union)
+    if kind == "intersect":
+        return common
+    if kind == "size":
+        return len(common)
+    if kind == "contains-any":
+        return bool(common)
+    if kind == "jaccard":
+        union = len(alice_set) + len(bob_set) - len(common)
+        return Fraction(len(common), union) if union else Fraction(1)
+    raise ValueError(f"unknown operation kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -92,19 +103,18 @@ class SessionStats:
 
     def record(
         self, kind: str, result: IntersectionResult, *, degraded: bool = False
-    ) -> None:
-        """Append one operation."""
-        self.history.append(
-            OperationRecord(
-                index=self.operations,
-                kind=kind,
-                bits=result.bits,
-                messages=result.messages,
-                protocol=result.protocol,
-                result_size=len(result.intersection),
-                degraded=degraded,
-            )
+    ) -> OperationRecord:
+        """Append one operation and return its record."""
+        record = OperationRecord(
+            index=self.operations,
+            kind=kind,
+            bits=result.bits,
+            messages=result.messages,
+            protocol=result.protocol,
+            result_size=len(result.intersection),
+            degraded=degraded,
         )
+        self.history.append(record)
         self.operations += 1
         self.total_bits += result.bits
         self.total_messages += result.messages
@@ -112,6 +122,7 @@ class SessionStats:
             self.degraded_ops += 1
         else:
             self.exact_ops += 1
+        return record
 
     @property
     def mean_bits(self) -> float:
@@ -217,21 +228,40 @@ class IntersectionSession:
             index = self._stats.operations
         return derive_seed(self.seed, index)
 
-    def _run(self, kind: str, alice_set, bob_set) -> IntersectionResult:
-        if self._fault_model is not None:
-            return self._run_faulted(kind, alice_set, bob_set)
-        # Each operation draws its own region of the common random string
-        # (the next operation seed), so no coins are reused across
-        # operations and no renegotiation bits are spent.
-        outcome = self.protocol.run(
-            alice_set, bob_set, seed=self.operation_seed()
-        )
-        result = intersection_result(outcome, self.rounds_parameter)
-        self._stats.record(kind, result)
-        return result
+    # -- operations ---------------------------------------------------------
 
-    def _run_faulted(self, kind: str, alice_set, bob_set) -> IntersectionResult:
-        """One operation over the (possibly damaged) channel.
+    def operate(
+        self, kind: str, alice_set: Iterable[int], bob_set: Iterable[int]
+    ) -> Tuple[Any, OperationRecord]:
+        """Run one ``kind`` operation (one of :data:`OP_KINDS`) and record it.
+
+        :returns: ``(value, record)``: the answer
+            (:func:`operation_value`) and the operation's accounting
+            record.
+        :raises InvalidInput: for a set that is not a valid input of the
+            session's ``(n, k)``; nothing is recorded.
+        :raises ValueError: for an unknown ``kind``.
+        """
+        if kind not in OP_KINDS:
+            raise ValueError(f"unknown operation kind {kind!r}")
+        s = as_input_set("alice", alice_set)
+        t = as_input_set("bob", bob_set)
+        seed = self.operation_seed()
+        if self._fault_model is None:
+            # Each operation draws its own region of the common random
+            # string (the next operation seed), so no coins are reused
+            # across operations and no renegotiation bits are spent.
+            outcome = self.protocol.run(s, t, seed=seed)
+            result = intersection_result(outcome, self.rounds_parameter)
+            degraded = False
+        else:
+            result, degraded = self._run_faulted(s, t, seed)
+        record = self.record_operation(kind, result, degraded=degraded)
+        return operation_value(kind, s, t, result.intersection), record
+
+    def _run_faulted(self, s, t, seed: int) -> Tuple[IntersectionResult, bool]:
+        """One operation over the (possibly damaged) channel: its result
+        and whether it degraded.
 
         The retry loop owns correctness: agreement-verified results are
         exact (Corollary 3.4 plus the independent-confirmation rule), an
@@ -245,9 +275,9 @@ class IntersectionSession:
         index = self._stats.operations
         outcome = run_with_retry(
             self.protocol,
-            alice_set,
-            bob_set,
-            seed=self.operation_seed(index),
+            s,
+            t,
+            seed=seed,
             plan=FaultPlan(self._fault_model, derive_seed(self._fault_seed, index)),
         )
         result = IntersectionResult(
@@ -258,50 +288,47 @@ class IntersectionSession:
             rounds_parameter=self.rounds_parameter,
             parties_agree=outcome.agreed,
         )
-        self._stats.record(kind, result, degraded=outcome.degraded)
-        return result
-
-    # -- operations ---------------------------------------------------------
+        return result, outcome.degraded
 
     def intersect(
         self, alice_set: Iterable[int], bob_set: Iterable[int]
     ) -> FrozenSet[int]:
         """Recover ``S n T``."""
-        return self._run("intersect", alice_set, bob_set).intersection
+        return self.operate("intersect", alice_set, bob_set)[0]
 
     def intersection_size(
         self, alice_set: Iterable[int], bob_set: Iterable[int]
     ) -> int:
         """Exact ``|S n T|``."""
-        return len(self._run("size", alice_set, bob_set).intersection)
+        return self.operate("size", alice_set, bob_set)[0]
 
     def jaccard(
         self, alice_set: Iterable[int], bob_set: Iterable[int]
     ) -> Fraction:
         """Exact Jaccard similarity (1 for two empty sets)."""
-        s = frozenset(alice_set)
-        t = frozenset(bob_set)
-        common = len(self._run("jaccard", s, t).intersection)
-        return jaccard_from_common(len(s), len(t), common)
+        return self.operate("jaccard", alice_set, bob_set)[0]
 
     def contains_any(
         self, alice_set: Iterable[int], bob_set: Iterable[int]
     ) -> bool:
         """Disjointness check (True iff the sets share an element)."""
-        return bool(self._run("contains-any", alice_set, bob_set).intersection)
+        return self.operate("contains-any", alice_set, bob_set)[0]
 
     # -- accounting ----------------------------------------------------------
 
-    def record_operation(self, kind: str, result: IntersectionResult) -> None:
-        """Account one externally executed operation.
+    def record_operation(
+        self, kind: str, result: IntersectionResult, *, degraded: bool = False
+    ) -> OperationRecord:
+        """Account one executed operation and return its record.
 
-        The coalescing server (:mod:`repro.serve`) computes operations for
-        many sessions in one batched kernel dispatch -- bit-identical to
-        what :meth:`intersect` and friends would have produced -- and bills
-        each result back to its session here, so cumulative accounting is
-        independent of *how* an operation was executed.
+        Every operation is recorded here, however it ran: :meth:`operate`
+        records its own, and the coalescing server (:mod:`repro.serve`),
+        which computes many sessions' operations in one batched dispatch
+        -- bit-identical to what :meth:`operate` would have produced --
+        records each pooled result back to its session, so cumulative
+        accounting is independent of *how* an operation was executed.
         """
-        self._stats.record(kind, result)
+        return self._stats.record(kind, result, degraded=degraded)
 
     def stats(self) -> SessionStats:
         """The session's cumulative accounting (live object)."""

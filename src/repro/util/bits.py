@@ -50,6 +50,7 @@ __all__ = [
     "decode_elias_gamma",
     "encode_fixed_list",
     "decode_fixed_list",
+    "fixed_list_bits",
     "encode_delta_sorted_set",
     "decode_delta_sorted_set",
 ]
@@ -719,6 +720,13 @@ def encode_fixed_list(values: Sequence[int], width: int) -> BitString:
     writer.write_gamma(len(values))
     writer.write_run(values, width)
     return writer.finish()
+
+
+def fixed_list_bits(count: int, width: int) -> int:
+    """The length of :func:`encode_fixed_list` of ``count`` values of
+    ``width`` bits each: the gamma-coded count plus ``width`` bits per
+    value, without encoding anything."""
+    return 2 * (count + 1).bit_length() - 1 + count * width
 
 
 def decode_fixed_list(bits: BitString, width: int) -> List[int]:

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import make_instance
 from repro.core.api import compute_intersection
+from repro.protocols import base
 from repro.protocols.base import InvalidInput
 
 
@@ -96,6 +97,29 @@ class TestComputeIntersection:
         # AttributeError from the inference.
         with pytest.raises(InvalidInput, match="alice's element"):
             compute_intersection([member], [2])
+
+    def test_refused_parameter_raises_before_a_bad_set(self):
+        with pytest.raises(ValueError, match="model") as excinfo:
+            compute_intersection([1.5], [2], model="telepathy")
+        assert not isinstance(excinfo.value, InvalidInput)
+
+    @pytest.mark.parametrize("rounds", [None, 1, 2])
+    def test_each_set_is_validated_once(self, rng, monkeypatch, rounds):
+        # The protocol run validates the pair; no second pass up front.
+        calls = []
+        real = base.validate_set
+
+        def counting(name, *args):
+            calls.append(name)
+            return real(name, *args)
+
+        monkeypatch.setattr(base, "validate_set", counting)
+        s, t = make_instance(rng, 1 << 20, 256, 0.5)
+        result = compute_intersection(
+            s, t, universe_size=1 << 20, max_set_size=256, rounds=rounds
+        )
+        assert result.intersection == s & t
+        assert calls == ["alice", "bob"]
 
     def test_top_level_reexports(self):
         import repro

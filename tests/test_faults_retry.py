@@ -13,6 +13,7 @@ import pytest
 
 from conftest import make_instance
 from repro.core.amplify import AmplifiedIntersection
+from repro.core.tree_protocol import TreeProtocol
 from repro.faults.models import BitFlip, Drop, FlipOnce
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import (
@@ -21,6 +22,8 @@ from repro.faults.retry import (
     attempt_seed,
     run_with_retry,
 )
+from repro.protocols import base
+from repro.protocols.base import InvalidInput
 from repro.protocols.bucket_verify import BucketVerifyProtocol
 
 UNIVERSE = 1 << 16
@@ -164,6 +167,33 @@ class TestRunWithRetry:
         protocol = BucketVerifyProtocol(UNIVERSE, 4)
         with pytest.raises(ValueError):
             run_with_retry(protocol, {UNIVERSE + 1}, {1}, seed=0)
+
+    @pytest.mark.parametrize("bad", [[1.5], [UNIVERSE], [[1]]])
+    def test_a_bad_set_raises_before_any_bit(self, bad):
+        protocol = BucketVerifyProtocol(UNIVERSE, 4)
+        plan = FaultPlan(BitFlip(1.0), seed=0)
+        with pytest.raises(InvalidInput):
+            run_with_retry(protocol, {1}, bad, seed=0, plan=plan)
+        assert plan.injected == 0
+
+    def test_each_set_is_validated_once(self, rng, monkeypatch):
+        # One attempt, one validation pass (inside the protocol run).
+        calls = []
+        real = base.validate_set
+
+        def counting(name, *args):
+            calls.append(name)
+            return real(name, *args)
+
+        monkeypatch.setattr(base, "validate_set", counting)
+        s, t = make_instance(rng, 1 << 20, 256, 0.5)
+        outcome = run_with_retry(
+            TreeProtocol(1 << 20, 256, rounds=2), s, t, seed=1,
+            plan=FaultPlan(Drop(0.0), seed=0),
+        )
+        assert outcome.attempts == 1 and not outcome.degraded
+        assert outcome.alice_output == s & t
+        assert calls == ["alice", "bob"]
 
     def test_outcome_helpers(self):
         outcome = RobustOutcome(

@@ -421,6 +421,19 @@ class TestJaccardAcrossPaths:
         assert [value for value, _ in coalesced] == [value for value, _ in scalar]
 
 
+class TestScalarInputFaults:
+    @pytest.mark.parametrize("kind", ["intersect", "size", "jaccard", "contains-any"])
+    def test_unhashable_member_is_invalid_input(self, kind):
+        # Every kind maps the session's InvalidInput the same way; jaccard
+        # used to freeze its own inputs and leak a plain TypeError.
+        registry = SessionRegistry(0)
+        entry = registry.open("s", universe_size=1 << 20, max_set_size=8)
+        with pytest.raises(ServeError) as excinfo:
+            run_scalar_operation(entry, kind, [[1]], [2])
+        assert excinfo.value.type == "invalid-input"
+        assert entry.session.stats().operations == 0
+
+
 class TestCodeErrors:
     """A code error is not the client's fault, and it must not stop the
     server answering: every op read gets a reply."""

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import make_instance
+from repro.core.api import compute_intersection
 from repro.perf.executor import derive_seed
-from repro.session import IntersectionSession
+from repro.protocols.base import InvalidInput
+from repro.session import IntersectionSession, operation_value
 
 
 class TestOperations:
@@ -33,6 +35,34 @@ class TestOperations:
         session = IntersectionSession(1 << 18, 64)
         s, t = make_instance(rng, 1 << 18, 64, 0.5)
         assert session.intersection_size(s, t) == len(s & t)
+
+    @pytest.mark.parametrize(
+        "method", ["intersect", "intersection_size", "jaccard", "contains_any"]
+    )
+    def test_unhashable_member_is_invalid_input(self, method):
+        # Every kind freezes its inputs the same way: an unhashable member
+        # is the caller's input fault, never a plain TypeError.
+        session = IntersectionSession(1 << 18, 64)
+        with pytest.raises(InvalidInput):
+            getattr(session, method)([[1]], [2])
+        assert session.stats().operations == 0
+
+
+class TestOperationValue:
+    def test_each_kind_from_the_computed_intersection(self):
+        s, t = frozenset({1, 2, 3}), frozenset({2, 3, 4})
+        common = s & t
+        assert operation_value("intersect", s, t, common) == common
+        assert operation_value("size", s, t, common) == 2
+        assert operation_value("jaccard", s, t, common) == Fraction(1, 2)
+        assert operation_value("contains-any", s, t, common) is True
+        assert operation_value("contains-any", s, t, frozenset()) is False
+        empty = frozenset()
+        assert operation_value("jaccard", empty, empty, empty) == 1
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown operation kind"):
+            operation_value("union", {1}, {1}, frozenset({1}))
 
 
 class TestAccounting:
@@ -66,10 +96,49 @@ class TestAccounting:
         s, t = make_instance(rng, 1 << 18, 64, 0.5)
         direct = IntersectionSession(1 << 18, 64, seed=9)
         billed = IntersectionSession(1 << 18, 64, seed=9)
-        result = direct._run("intersect", s, t)
-        billed.record_operation("intersect", result)
+        _, direct_record = direct.operate("intersect", s, t)
+        result = compute_intersection(
+            s, t, universe_size=1 << 18, max_set_size=64,
+            seed=billed.operation_seed(),
+        )
+        record = billed.record_operation("intersect", result)
+        assert record == direct_record
         assert billed.stats().history == direct.stats().history
         assert billed.stats().total_bits == direct.stats().total_bits
+
+    def test_record_operation_returns_the_record_it_appends(self, rng):
+        s, t = make_instance(rng, 1 << 18, 64, 0.5)
+        session = IntersectionSession(1 << 18, 64, seed=9)
+        result = compute_intersection(
+            s, t, universe_size=1 << 18, max_set_size=64, seed=3
+        )
+        first = session.record_operation("size", result)
+        second = session.record_operation("jaccard", result, degraded=True)
+        assert session.stats().history == [first, second]
+        assert (first.index, first.kind, first.degraded) == (0, "size", False)
+        assert (second.index, second.kind, second.degraded) == (
+            1, "jaccard", True,
+        )
+        assert first.bits == result.bits
+        assert first.result_size == len(result.intersection)
+        assert session.stats().degraded_ops == 1
+
+    def test_operate_returns_value_and_record(self, rng):
+        s, t = make_instance(rng, 1 << 18, 64, 0.5)
+        session = IntersectionSession(1 << 18, 64, seed=9)
+        for kind, value in (
+            ("intersect", s & t),
+            ("size", len(s & t)),
+            ("jaccard", Fraction(len(s & t), len(s | t))),
+            ("contains-any", bool(s & t)),
+        ):
+            answer, record = session.operate(kind, s, t)
+            assert answer == value
+            assert record is session.stats().history[-1]
+            assert record.kind == kind
+        with pytest.raises(ValueError, match="unknown operation kind"):
+            session.operate("union", s, t)
+        assert session.stats().operations == 4
 
     def test_repeated_identical_queries_draw_fresh_coins(self, rng):
         # Same inputs twice: per-operation seeds differ, so transcripts may

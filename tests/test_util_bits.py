@@ -17,6 +17,7 @@ from repro.util.bits import (
     encode_elias_gamma,
     encode_fixed_list,
     encode_uint,
+    fixed_list_bits,
 )
 
 
@@ -192,6 +193,19 @@ class TestFixedList:
     def test_roundtrip_property(self, width_and_values):
         width, values = width_and_values
         assert decode_fixed_list(encode_fixed_list(values, width), width) == values
+
+    @given(
+        st.integers(min_value=1, max_value=40).flatmap(
+            lambda w: st.tuples(
+                st.just(w), st.lists(st.integers(0, 2**w - 1), max_size=300)
+            )
+        )
+    )
+    def test_fixed_list_bits_is_the_encoded_length(self, width_and_values):
+        width, values = width_and_values
+        assert fixed_list_bits(len(values), width) == len(
+            encode_fixed_list(values, width)
+        )
 
 
 class TestUintCodec:
