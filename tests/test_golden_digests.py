@@ -1,18 +1,37 @@
-"""Serve fingerprints and the plan counter digest, pinned to literals.
+"""Serve fingerprints and the plan counter digests, pinned to literals.
 
 CI's serve-smoke legs compare each load run's fingerprint with the serial
 oracle's, so a change that moves both sides alike still passes there.
 These literals pin the oracle itself: the serial fingerprints of the four
-mixes those legs build and of the mixed-shape determinism mix, and the
-``counters_sha256`` of a plan sweep over the six two-party protocols.  A
-moved coin, bit, round or degraded flag breaks one of them.
+mixes those legs build and of the mixed-shape determinism mix, the
+``counters_sha256`` of a plan sweep over the six two-party protocols, and
+Section 4's bits: the ``counters_sha256`` of an m-player survival sweep
+and a digest over direct runs at shapes a plan cannot express.  A moved
+coin, bit, round or degraded flag breaks one of them.
+
+The Section 4 pins draw nothing from a process-wide fault plan
+(``REPRO_FAULTS``): every run is either under its own explicit plan or
+has the process-wide plan suspended, so the literals hold in every CI leg
+and the crash schedule later tests see is the one they would see without
+these pins.
 """
+
+import contextlib
+import hashlib
+import json
 
 import pytest
 
-from repro.plans import Plan, ProtocolSpec, run_plan
+from repro.faults.models import parse_fault_spec
+from repro.faults.plan import FaultPlan, inject
+from repro.faults.state import STATE as FAULTS_STATE
+from repro.multiparty.binary_tree import BinaryTreeIntersection
+from repro.multiparty.coordinator import CoordinatorIntersection
+from repro.multiparty.recovery import recovery_fingerprint, run_with_recovery
+from repro.plans import Plan, ProtocolSpec, RetrySpec, run_plan
 from repro.serve.loadgen import LoadMix, run_mix_serial
-from repro.workloads import WorkloadSpec
+from repro.workloads import MultipartySpec, WorkloadSpec
+from repro.workloads.multiparty import generate_multiparty
 
 #: ``(mix, fingerprint, degraded ops)`` for the mixes of the serve-smoke
 #: legs: ``repro serve load --seed 5`` with the one-round, multi-round,
@@ -100,3 +119,136 @@ def test_plan_counters_pinned(shard_size):
     )
     result = run_plan(plan, use_env_cache=False, workers=1, executor="serial")
     assert result.counters_sha256 == PLAN_COUNTERS_SHA256
+
+
+#: An m-player survival sweep over both Section 4 protocols: every cell
+#: runs under an explicit per-trial fault plan.
+MULTIPARTY_PLAN = Plan(
+    name="section-4",
+    analysis="multiparty-survival",
+    protocols=(ProtocolSpec("coordinator"), ProtocolSpec("binary-tree")),
+    instances=tuple(
+        MultipartySpec(universe_size=1 << 14, set_size=16, num_players=m,
+                       common_size=2)
+        for m in (5, 17)
+    ),
+    fault_specs=("churn@0.3", "crash@0.3", "bitflip@0.01", "truncate@0.01"),
+    trials=3,
+    seed=11,
+    shard_size=3,
+    retry=RetrySpec(max_attempts=8),
+)
+MULTIPARTY_COUNTERS_SHA256 = (
+    "6f17ec3b20d4deabb368e4d750b3e414f0206e7c65bce1a666bdf3defc8bc431"
+)
+
+#: ``(protocol class, m, constructor options)``: recursion over more than
+#: one level (``group_size`` 2 and 4), odd groups (a tree survivor with no
+#: partner in a step), the single-player shortcut and the result broadcast.
+SECTION_4_SHAPES = (
+    (CoordinatorIntersection, 9, {"group_size": 2}),
+    (BinaryTreeIntersection, 9, {"group_size": 2}),
+    (CoordinatorIntersection, 10, {"group_size": 4}),
+    (BinaryTreeIntersection, 10, {"group_size": 4}),
+    (CoordinatorIntersection, 7, {"group_size": 3}),
+    (BinaryTreeIntersection, 7, {"group_size": 3}),
+    (BinaryTreeIntersection, 7, {}),
+    (CoordinatorIntersection, 1, {}),
+    (CoordinatorIntersection, 6, {"group_size": 4, "broadcast": True}),
+    (BinaryTreeIntersection, 7, {"group_size": 3, "broadcast": True}),
+    (BinaryTreeIntersection, 5, {"broadcast": True}),
+)
+#: ``None`` runs on a reliable network; a spec runs ``run()`` inside
+#: ``inject`` and ``run_with_recovery`` with an explicit plan.
+SECTION_4_FAULTS = (None, "churn@0.3", "crash@0.2", "bitflip@0.01",
+                    "truncate@0.02")
+SECTION_4_RUNS_SHA256 = (
+    "ca0cbbaf8eb5df3477c9b55db83d9e5fb4daba883b320c9324eb717d0724c8e8"
+)
+
+
+@contextlib.contextmanager
+def process_plan_suspended():
+    """Suspend the process-wide fault plan (``REPRO_FAULTS``) for a block."""
+    previous = FAULTS_STATE.plan
+    FAULTS_STATE.install(None)
+    try:
+        yield
+    finally:
+        FAULTS_STATE.install(previous)
+
+
+def _outcome_doc(outcome):
+    if outcome is None:
+        return None
+    return {
+        "bits_sent": outcome.bits_sent,
+        "bits_received": outcome.bits_received,
+        "rounds": outcome.rounds,
+        "outputs": {
+            name: None if output is None else sorted(output)
+            for name, output in outcome.outputs.items()
+        },
+        "crashed": list(outcome.crashed),
+    }
+
+
+def section_4_runs():
+    """One document per pinned run: every player's bits and output, the
+    rounds and, when recovery ran, its fingerprint."""
+    docs = []
+    for shape, (protocol_cls, m, options) in enumerate(SECTION_4_SHAPES):
+        spec = MultipartySpec(universe_size=1 << 12, set_size=8,
+                              num_players=m, common_size=2)
+        sets = generate_multiparty(spec, seed=shape)
+        protocol = protocol_cls(spec.universe_size, spec.set_size, **options)
+        for fault in SECTION_4_FAULTS:
+            seed = 100 * shape + len(docs)
+            if fault is None:
+                result = protocol.run(sets, seed=seed)
+                robust = run_with_recovery(protocol, sets, seed=seed)
+            else:
+                model, _ = parse_fault_spec(fault)
+                with inject(model, seed=seed):
+                    result = protocol.run(sets, seed=seed)
+                model, _ = parse_fault_spec(fault)
+                robust = run_with_recovery(
+                    protocol, sets, seed=seed, plan=FaultPlan(model, seed=seed)
+                )
+            docs.append({
+                "protocol": protocol.name,
+                "m": m,
+                "options": options,
+                "fault": fault,
+                "run": {
+                    "intersection": sorted(result.intersection),
+                    "total_bits": result.total_bits,
+                    "rounds": result.rounds,
+                    "outcome": _outcome_doc(result.outcome),
+                    "recovery": (
+                        None if result.robust is None
+                        else recovery_fingerprint(result.robust)
+                    ),
+                },
+                "recovery": {
+                    "fingerprint": recovery_fingerprint(robust),
+                    "outcome": _outcome_doc(robust.final_outcome),
+                },
+            })
+    return docs
+
+
+def test_multiparty_plan_counters_pinned():
+    result = run_plan(
+        MULTIPARTY_PLAN, use_env_cache=False, workers=1, executor="serial"
+    )
+    assert result.counters_sha256 == MULTIPARTY_COUNTERS_SHA256
+
+
+def test_section_4_runs_pinned():
+    with process_plan_suspended():
+        docs = section_4_runs()
+    digest = hashlib.sha256(
+        json.dumps(docs, sort_keys=True).encode()
+    ).hexdigest()
+    assert digest == SECTION_4_RUNS_SHA256
