@@ -1,16 +1,28 @@
-"""Corollary 4.1: the coordinator-based multiparty protocol.
+"""Section 4's group driver, and Corollary 4.1: the coordinator protocol.
 
-The ``m`` players are partitioned into groups of at most ``2^k`` (the
-recursion depth is then ``max(1, ceil(log2(m) / k))``, matching the stated
-round bound ``O(r * max(1, log(m)/k))``; see DESIGN.md on the group-size
-reading).  Within each group, the first player acts as coordinator: every
-other member runs the amplified two-party protocol with it, so the
-coordinator learns ``T_i = S_1 n S_i`` for each member ``i``, each run
-certified by a ``2k``-bit equality check (error ``2^-2k``; a union bound
-over at most ``2^k`` members leaves ``2^-k``).  The coordinator's group
-result is ``T_2 n ... n T_g = S_1 n ... n S_g``.  The protocol then recurses
-over the coordinators with their group results until one player holds the
-full intersection.
+Corollaries 4.1 and 4.2 are one algorithm that differs only in how a
+group is paired.  The ``m`` players are partitioned into groups of at
+most ``2^k`` (the recursion depth is then ``max(1, ceil(log2(m) / k))``,
+matching the stated round bound ``O(r * max(1, log(m)/k))``; see
+DESIGN.md on the group-size reading).  Each group's intersection comes
+from amplified two-party runs, each certified by a ``2k``-bit equality
+check (error ``2^-2k``; a union bound over at most ``2^k`` runs leaves
+``2^-k``), and the protocol recurses over the group winners -- each
+group's first player, holding its group's intersection -- until one
+player holds the full intersection.
+
+:class:`GroupIntersection` is that driver.  A protocol supplies only a
+*pairing schedule* for a group: a list of steps, each a list of ``(left,
+right)`` pairs.  In a step a left player runs Alice against all of its
+partners at once and intersects their outputs into the set it carries; a
+right player runs Bob once with the set it carries and is then done (or
+waits for the result broadcast).  Every run of a step proceeds in
+parallel in the same BSP supersteps.
+
+Corollary 4.1 (:class:`CoordinatorIntersection`) pairs in a star: one
+step in which the group's first player, the coordinator, runs with every
+other member, so it learns ``T_i = S_1 n S_i`` for each member ``i`` and
+its group result is ``T_2 n ... n T_g = S_1 n ... n S_g``.
 
 Communication: the first level dominates (the number of active players
 drops by a factor ``2^k`` per level); each member pays the two-party cost
@@ -18,19 +30,18 @@ drops by a factor ``2^k`` per level); each member pays the two-party cost
 ``O(k log^(r) k)`` -- at ``r = log* k``, total ``O(mk)``, matching the
 ``Omega(mk)`` lower bound of [PVZ12, BEO+13].  The coordinator itself pays
 ``O(group_size * k log^(r) k)``, which is what Corollary 4.2 smooths out.
-
-All pairwise runs inside a group proceed in parallel in the same BSP
-supersteps, so the expected round count per level is the two-party
-``O(r)``.
+All pairwise runs inside a group share the same supersteps, so the
+expected round count per level is the two-party ``O(r)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Generator, Iterable, List, Optional, Sequence
+from typing import FrozenSet, Generator, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.amplify import AmplifiedIntersection
 from repro.faults.state import STATE as _FAULTS
+from repro.multiparty.broadcast import await_broadcast, send_broadcast
 from repro.multiparty.network import (
     MultipartyOutcome,
     PlayerContext,
@@ -40,7 +51,7 @@ from repro.multiparty.network import (
 )
 from repro.multiparty.pairing import drive_adapters, pair_context
 
-__all__ = ["CoordinatorIntersection", "MultipartyResult"]
+__all__ = ["CoordinatorIntersection", "GroupIntersection", "MultipartyResult"]
 
 
 @dataclass
@@ -91,56 +102,8 @@ def partition_groups(players: Sequence[str], group_size: int) -> List[List[str]]
     ]
 
 
-def _run_with_contract(
-    protocol, sets: Sequence[Iterable[int]], seed: int
-) -> MultipartyResult:
-    """The shared ``run()`` body of both multiparty protocols.
-
-    Validates inputs, then runs the BSP scheduler -- through the recovery
-    layer exactly when a fault plan is active (``REPRO_FAULTS`` or an
-    ``inject()`` block), so a reliable network never pays the wrapper and
-    a faulted caller cannot forget it.
-    """
-    inputs = player_inputs(sets, protocol.universe_size, protocol.max_set_size)
-    names = list(inputs)
-    if len(names) == 1:
-        only = inputs[names[0]]
-        return MultipartyResult(
-            intersection=only,
-            outcome=MultipartyOutcome(
-                outputs={names[0]: only},
-                bits_sent={names[0]: 0},
-                bits_received={names[0]: 0},
-                rounds=0,
-            ),
-        )
-    if _FAULTS.active:
-        from repro.multiparty.recovery import run_with_recovery
-
-        robust = run_with_recovery(protocol, sets, seed=seed)
-        outcome = robust.final_outcome
-        if outcome is None:
-            holder = robust.survivors[0] if robust.survivors else names[0]
-            outcome = MultipartyOutcome(
-                outputs={holder: robust.intersection},
-                bits_sent={},
-                bits_received={},
-                rounds=robust.total_rounds,
-                crashed=robust.crashed,
-            )
-        return MultipartyResult(
-            intersection=robust.intersection, outcome=outcome, robust=robust
-        )
-    outcome = run_message_passing(
-        {name: protocol._player for name in names}, inputs, shared_seed=seed
-    )
-    return MultipartyResult(
-        intersection=frozenset(outcome.outputs[names[0]]), outcome=outcome
-    )
-
-
-class CoordinatorIntersection:
-    """Corollary 4.1 (average-case optimal multiparty intersection).
+class GroupIntersection:
+    """Section 4's group driver: group, pair by a schedule, recurse.
 
     :param universe_size: universe ``[n]``.
     :param max_set_size: bound ``k`` on every player's set.
@@ -151,15 +114,20 @@ class CoordinatorIntersection:
         cap is immaterial and the recursion has a single level).
     :param max_attempts: retry cap forwarded to the amplified two-party
         protocol.
-    :param broadcast: when True, the final coordinator broadcasts the
-        result's hash image to every player in one extra round, and *every*
-        player outputs the intersection (filtered from its own set, which
-        always contains the result) -- the "all parties output S" reading
-        of Section 4's problem statement.  Costs ``O(|S| log(mk))`` bits per
+    :param broadcast: when True, the final holder broadcasts the result's
+        hash image to every player in one extra round, and *every* player
+        outputs the intersection (filtered from its own set, which always
+        contains the result) -- the "all parties output S" reading of
+        Section 4's problem statement.  Costs ``O(|S| log(mk))`` bits per
         player; exact except with probability ``1/poly(mk)``.
+
+    A protocol defines :attr:`name`, :attr:`label` (a ``str.format``
+    template over ``level`` and ``step`` that names each pair's shared
+    randomness) and :meth:`schedule`.
     """
 
-    name = "coordinator-multiparty"
+    name: str
+    label: str
 
     def __init__(
         self,
@@ -186,8 +154,21 @@ class CoordinatorIntersection:
         self.max_attempts = max_attempts
         self.broadcast = broadcast
 
-    def _pair_protocol(self) -> AmplifiedIntersection:
-        return AmplifiedIntersection(
+    @staticmethod
+    def schedule(group: Sequence[str]) -> List[List[Tuple[str, str]]]:
+        """The group's pairing steps, each a list of ``(left, right)``
+        pairs; the group's first player must be left holding its result."""
+        raise NotImplementedError
+
+    def _player(self, ctx: PlayerContext) -> Generator:
+        current: FrozenSet[int] = frozenset(ctx.input)
+        active: List[str] = list(ctx.players)
+        strays: List = []
+        level = 0
+        # AmplifiedIntersection is stateless (per-run state lives in the
+        # coroutines it constructs), so one instance serves every pairwise
+        # run this player ever takes part in.
+        pair_protocol = AmplifiedIntersection(
             self.universe_size,
             self.max_set_size,
             rounds=self.rounds,
@@ -195,71 +176,51 @@ class CoordinatorIntersection:
             check_width=2 * self.max_set_size,
         )
 
-    def _player(self, ctx: PlayerContext) -> Generator:
-        current: FrozenSet[int] = frozenset(ctx.input)
-        active: List[str] = list(ctx.players)
-        inbox: List = []
-        strays: List = []
-        level = 0
-        # AmplifiedIntersection is stateless (per-run state lives in the
-        # coroutines it constructs), so one instance serves every pairwise
-        # run this player ever participates in.
-        pair_protocol = self._pair_protocol()
-
         while len(active) > 1:
             groups = partition_groups(active, self.group_size)
             my_group = next(group for group in groups if ctx.name in group)
-            coordinator = my_group[0]
-            label = f"mp/coord/l{level}"
-
-            if ctx.name == coordinator:
-                adapters: Dict[str, TwoPartyAdapter] = {}
-                for member in my_group[1:]:
-                    pctx = pair_context(
-                        ctx, "alice", current, coordinator, member, label
-                    )
-                    adapters[member] = TwoPartyAdapter(
-                        pair_protocol.alice(pctx)
-                    )
-                if adapters:
-                    first_inbox = strays + inbox
-                    strays.clear()  # drive re-strays whatever it can't route
-                    inbox = []
-                    yield from drive_adapters(adapters, first_inbox, strays)
-                    for member in my_group[1:]:
-                        pair_result = adapters[member].output
-                        current = current & pair_result
-            else:
-                pctx = pair_context(
-                    ctx, "bob", current, coordinator, ctx.name, label
+            for step, pairs in enumerate(self.schedule(my_group)):
+                label = self.label.format(level=level, step=step)
+                leader = next(
+                    (left for left, right in pairs if right == ctx.name), None
                 )
-                adapter = TwoPartyAdapter(pair_protocol.bob(pctx))
-                first_inbox = strays + inbox
-                strays.clear()
-                inbox = []
-                yield from drive_adapters(
-                    {coordinator: adapter}, first_inbox, strays
-                )
-                if not self.broadcast:
-                    return None  # not a coordinator: done after this level
-                from repro.multiparty.broadcast import await_broadcast
-
-                return (
-                    yield from await_broadcast(
-                        ctx,
-                        frozenset(ctx.input),
-                        strays,
-                        self.universe_size,
-                        self.max_set_size,
+                if leader is not None:
+                    pctx = pair_context(ctx, "bob", current, leader, ctx.name, label)
+                    runs = {leader: pair_protocol.bob(pctx)}
+                else:
+                    runs = {
+                        right: pair_protocol.alice(
+                            pair_context(ctx, "alice", current, ctx.name, right, label)
+                        )
+                        for left, right in pairs
+                        if left == ctx.name
+                    }
+                    if not runs:
+                        continue  # e.g. a tree survivor with no partner this step
+                adapters = {peer: TwoPartyAdapter(run) for peer, run in runs.items()}
+                first_inbox = list(strays)
+                strays.clear()  # drive_adapters re-strays what it can't route
+                yield from drive_adapters(adapters, first_inbox, strays)
+                if leader is not None:
+                    if not self.broadcast:
+                        return None  # a right end is done after its run
+                    return (
+                        yield from await_broadcast(
+                            ctx,
+                            frozenset(ctx.input),
+                            strays,
+                            self.universe_size,
+                            self.max_set_size,
+                        )
                     )
-                )
-
+                # On a tree edge Alice's output is already a subset of the
+                # set she carries (Lemma 3.3), so intersecting changes nothing.
+                for adapter in adapters.values():
+                    current = current & adapter.output
             active = [group[0] for group in groups]
             level += 1
 
         if self.broadcast and len(ctx.players) > 1:
-            from repro.multiparty.broadcast import send_broadcast
-
             yield from send_broadcast(
                 ctx, current, self.universe_size, self.max_set_size
             )
@@ -273,7 +234,59 @@ class CoordinatorIntersection:
         :param sets: one iterable of elements per player.
         :param seed: replay seed for all randomness.
 
-        Runs through the crash-recovery layer exactly when a fault plan
-        is active.
+        Validates each set once, then runs the BSP scheduler -- through
+        the recovery layer exactly when a fault plan is active
+        (``REPRO_FAULTS`` or an ``inject()`` block), so a reliable network
+        never pays the wrapper and a faulted caller cannot forget it.
         """
-        return _run_with_contract(self, sets, seed)
+        inputs = player_inputs(sets, self.universe_size, self.max_set_size)
+        names = list(inputs)
+        if len(names) == 1:
+            only = inputs[names[0]]
+            return MultipartyResult(
+                intersection=only,
+                outcome=MultipartyOutcome(
+                    outputs={names[0]: only},
+                    bits_sent={names[0]: 0},
+                    bits_received={names[0]: 0},
+                    rounds=0,
+                ),
+            )
+        if _FAULTS.active:
+            from repro.multiparty.recovery import recover_players
+
+            robust = recover_players(self, inputs, seed=seed)
+            outcome = robust.final_outcome
+            if outcome is None:
+                holder = robust.survivors[0] if robust.survivors else names[0]
+                outcome = MultipartyOutcome(
+                    outputs={holder: robust.intersection},
+                    bits_sent={},
+                    bits_received={},
+                    rounds=robust.total_rounds,
+                    crashed=robust.crashed,
+                )
+            return MultipartyResult(
+                intersection=robust.intersection, outcome=outcome, robust=robust
+            )
+        outcome = run_message_passing(
+            {name: self._player for name in names}, inputs, shared_seed=seed
+        )
+        return MultipartyResult(
+            intersection=frozenset(outcome.outputs[names[0]]), outcome=outcome
+        )
+
+
+class CoordinatorIntersection(GroupIntersection):
+    """Corollary 4.1 (average-case optimal multiparty intersection): the
+    group's first player runs with every other member in one step.
+
+    Parameters as :class:`GroupIntersection`.
+    """
+
+    name = "coordinator-multiparty"
+    label = "mp/coord/l{level}"
+
+    @staticmethod
+    def schedule(group: Sequence[str]) -> List[List[Tuple[str, str]]]:
+        return [[(group[0], member) for member in group[1:]]]

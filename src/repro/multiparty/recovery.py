@@ -62,6 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import (
     Any,
+    Dict,
     FrozenSet,
     Iterable,
     List,
@@ -85,6 +86,7 @@ __all__ = [
     "RecoveryPolicy",
     "MultipartyRobustOutcome",
     "recovery_attempt_seed",
+    "recover_players",
     "recovery_fingerprint",
     "run_with_recovery",
 ]
@@ -240,8 +242,22 @@ def run_with_recovery(
         runs, and an attempt's error that no fault explains propagates
         (see :mod:`repro.faults.attempts`).
     """
-    policy = policy if policy is not None else RecoveryPolicy()
     inputs = player_inputs(sets, protocol.universe_size, protocol.max_set_size)
+    return recover_players(protocol, inputs, seed=seed, policy=policy, plan=plan)
+
+
+def recover_players(
+    protocol,
+    inputs: Dict[str, FrozenSet[int]],
+    *,
+    seed: int = 0,
+    policy: Optional[RecoveryPolicy] = None,
+    plan: Optional[object] = None,
+) -> MultipartyRobustOutcome:
+    """:func:`run_with_recovery` over inputs already named and validated
+    by :func:`~repro.multiparty.network.player_inputs` (the protocols'
+    ``run()`` validates first, so each set is checked once)."""
+    policy = policy if policy is not None else RecoveryPolicy()
     names = list(inputs)
     if plan is None and _FAULTS.active:
         plan = _FAULTS.plan

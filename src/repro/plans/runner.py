@@ -33,7 +33,7 @@ Record shapes (versioned by ``repro.plans.compile.PLAN_SCHEMA_VERSION``):
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence
+from typing import Any, Iterator, List, Sequence, Tuple
 
 from repro.perf.executor import derive_seed
 from repro.plans.compile import Shard
@@ -52,117 +52,109 @@ SURVIVAL_STATUSES = ("exact", "inexact", "degraded")
 MULTIPARTY_SURVIVAL_STATUSES = ("exact", "recovered", "degraded", "inexact")
 
 
-def _cost_records(shard: Shard, protocol) -> List[List[Any]]:
-    records: List[List[Any]] = []
+def _trials(shard: Shard) -> Iterator[Tuple[int, Any]]:
+    """Each trial's seed and its own fault plan (``None`` on a reliable
+    cell), inside the trial's hot-cache scope.
+
+    A fresh model per trial: Churn carries per-player fate state and the
+    promoted deterministic models (FlipOnce) fire once, so a shared model
+    would couple trials through its schedule.  The plan seed derives from
+    the trial seed and the spec's own ``seed=N`` suffix.
+    """
+    from repro.faults.models import parse_fault_spec
+    from repro.faults.plan import FaultPlan
+
+    spec = shard.cell.fault_spec
+    spec_seed = 0 if spec is None else parse_fault_spec(spec)[1]
     for seed in shard.seeds:
         with hotcache.trial():
-            alice, bob = generate_pair(shard.cell.instance, seed)
-            outcome = protocol.run(alice, bob, seed=seed)
-            records.append(
-                [
-                    int(outcome.total_bits),
-                    int(outcome.num_messages),
-                    bool(outcome.correct_for(alice, bob)),
-                ]
-            )
+            if spec is None:
+                yield seed, None
+            else:
+                model, _ = parse_fault_spec(spec)
+                yield seed, FaultPlan(model, seed=derive_seed(seed, spec_seed))
+
+
+def _injected(fault_plan) -> int:
+    return 0 if fault_plan is None else int(fault_plan.injected)
+
+
+def _cost_records(shard: Shard, protocol) -> List[List[Any]]:
+    records: List[List[Any]] = []
+    for seed, _ in _trials(shard):
+        alice, bob = generate_pair(shard.cell.instance, seed)
+        outcome = protocol.run(alice, bob, seed=seed)
+        records.append(
+            [
+                int(outcome.total_bits),
+                int(outcome.num_messages),
+                bool(outcome.correct_for(alice, bob)),
+            ]
+        )
     return records
 
 
 def _survival_records(shard: Shard, protocol, retry) -> List[List[Any]]:
-    from repro.faults.models import parse_fault_spec
-    from repro.faults.plan import FaultPlan
     from repro.faults.retry import RetryPolicy, run_with_retry
 
-    model_spec = shard.cell.fault_spec
     policy = RetryPolicy(
         max_attempts=retry.max_attempts,
         attempt_bit_budget=retry.attempt_bit_budget,
         adaptive_budget=retry.adaptive_budget,
     )
-    spec_seed = 0
-    if model_spec is not None:
-        _, spec_seed = parse_fault_spec(model_spec)
     records: List[List[Any]] = []
-    for seed in shard.seeds:
-        with hotcache.trial():
-            alice, bob = generate_pair(shard.cell.instance, seed)
-            if model_spec is not None:
-                # A fresh model per trial: rate models are stateless but the
-                # promoted deterministic models (FlipOnce) are not, and a
-                # fresh plan guarantees trial-order independence either way.
-                model, _ = parse_fault_spec(model_spec)
-                fault_plan = FaultPlan(model, seed=derive_seed(seed, spec_seed))
-            else:
-                fault_plan = None
-            outcome = run_with_retry(
-                protocol,
-                alice,
-                bob,
-                seed=seed,
-                policy=policy,
-                plan=fault_plan,
-            )
-            if outcome.degraded:
-                status = "degraded"
-            elif outcome.correct_for(alice, bob):
-                status = "exact"
-            else:
-                status = "inexact"
-            records.append(
-                [
-                    status,
-                    int(outcome.attempts),
-                    int(fault_plan.injected) if fault_plan is not None else 0,
-                    int(outcome.total_bits),
-                ]
-            )
+    for seed, fault_plan in _trials(shard):
+        alice, bob = generate_pair(shard.cell.instance, seed)
+        outcome = run_with_retry(
+            protocol, alice, bob, seed=seed, policy=policy, plan=fault_plan
+        )
+        if outcome.degraded:
+            status = "degraded"
+        elif outcome.correct_for(alice, bob):
+            status = "exact"
+        else:
+            status = "inexact"
+        records.append(
+            [
+                status,
+                int(outcome.attempts),
+                _injected(fault_plan),
+                int(outcome.total_bits),
+            ]
+        )
     return records
 
 
 def _multiparty_survival_records(shard: Shard, protocol, retry) -> List[List[Any]]:
-    from repro.faults.models import parse_fault_spec
-    from repro.faults.plan import FaultPlan
     from repro.multiparty.recovery import RecoveryPolicy, run_with_recovery
     from repro.workloads.multiparty import generate_multiparty
 
-    model_spec = shard.cell.fault_spec
     policy = RecoveryPolicy(max_attempts=retry.max_attempts)
-    spec_seed = 0
-    if model_spec is not None:
-        _, spec_seed = parse_fault_spec(model_spec)
     records: List[List[Any]] = []
-    for seed in shard.seeds:
-        with hotcache.trial():
-            sets = generate_multiparty(shard.cell.instance, seed)
-            truth = frozenset.intersection(*sets)
-            if model_spec is not None:
-                # Fresh model per trial (Churn carries per-player fate state;
-                # reusing it would couple trials through crash schedules).
-                model, _ = parse_fault_spec(model_spec)
-                fault_plan = FaultPlan(model, seed=derive_seed(seed, spec_seed))
-            else:
-                fault_plan = None
-            outcome = run_with_recovery(
-                protocol, sets, seed=seed, policy=policy, plan=fault_plan
-            )
-            if not truth <= outcome.intersection:
-                status = "inexact"  # the one-sided invariant broke: a bug
-            elif outcome.degraded:
-                status = "degraded"
-            elif outcome.status == "exact" and outcome.intersection != truth:
-                status = "inexact"  # claimed exact but off: fingerprint slip
-            else:
-                status = outcome.status
-            records.append(
-                [
-                    status,
-                    int(outcome.attempts),
-                    len(outcome.crashed),
-                    int(fault_plan.injected) if fault_plan is not None else 0,
-                    int(outcome.total_bits),
-                    int(outcome.recovery_bits),
-                ]
-            )
+    for seed, fault_plan in _trials(shard):
+        sets = generate_multiparty(shard.cell.instance, seed)
+        truth = frozenset.intersection(*sets)
+        outcome = run_with_recovery(
+            protocol, sets, seed=seed, policy=policy, plan=fault_plan
+        )
+        if not truth <= outcome.intersection:
+            status = "inexact"  # the one-sided invariant broke: a bug
+        elif outcome.degraded:
+            status = "degraded"
+        elif outcome.status == "exact" and outcome.intersection != truth:
+            status = "inexact"  # claimed exact but off: fingerprint slip
+        else:
+            status = outcome.status
+        records.append(
+            [
+                status,
+                int(outcome.attempts),
+                len(outcome.crashed),
+                _injected(fault_plan),
+                int(outcome.total_bits),
+                int(outcome.recovery_bits),
+            ]
+        )
     return records
 
 

@@ -54,7 +54,9 @@ def operation_value(kind: str, alice_set, bob_set, common: FrozenSet[int]) -> An
     how the operation was dispatched.  ``jaccard`` divides by ``|S| + |T| -
     |common|`` (1 for two empty sets): on an exact answer that is ``|S u
     T|``; on an inexact one (``common`` overcounts) dividing by the true
-    ``|S u T|`` instead would give a second, different answer.
+    ``|S u T|`` instead would give a second, different answer.  It is
+    capped at 1: a degraded op's ``common`` is all of ``S``, which reads
+    ``|S| / |T|``, and 1 is still an upper bound on the true value.
     """
     if kind == "intersect":
         return common
@@ -64,7 +66,7 @@ def operation_value(kind: str, alice_set, bob_set, common: FrozenSet[int]) -> An
         return bool(common)
     if kind == "jaccard":
         union = len(alice_set) + len(bob_set) - len(common)
-        return Fraction(len(common), union) if union else Fraction(1)
+        return Fraction(min(len(common), union), union) if union else Fraction(1)
     raise ValueError(f"unknown operation kind {kind!r}")
 
 

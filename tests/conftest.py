@@ -12,16 +12,33 @@ Workload conventions:
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
 
+from repro.faults.state import STATE as FAULTS_STATE
 from repro.util.rng import SharedRandomness
 
 # The canonical planted-overlap instance generator lives in repro.workloads
 # (shared with benchmarks/_harness.py); re-exported so tests keep doing
 # ``from conftest import make_instance``.
 from repro.workloads import make_instance  # noqa: F401
+
+
+@contextlib.contextmanager
+def reliable():
+    """Suspend the process-wide fault plan (``REPRO_FAULTS``) for a block.
+
+    Runs inside draw nothing from that plan, so the crash schedule later
+    tests see under a CI fault leg is the one they would see without them.
+    """
+    previous = FAULTS_STATE.plan
+    FAULTS_STATE.install(None)
+    try:
+        yield
+    finally:
+        FAULTS_STATE.install(previous)
 
 
 @pytest.fixture

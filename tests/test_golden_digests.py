@@ -16,15 +16,14 @@ and the crash schedule later tests see is the one they would see without
 these pins.
 """
 
-import contextlib
 import hashlib
 import json
 
 import pytest
 
+from conftest import reliable
 from repro.faults.models import parse_fault_spec
 from repro.faults.plan import FaultPlan, inject
-from repro.faults.state import STATE as FAULTS_STATE
 from repro.multiparty.binary_tree import BinaryTreeIntersection
 from repro.multiparty.coordinator import CoordinatorIntersection
 from repro.multiparty.recovery import recovery_fingerprint, run_with_recovery
@@ -167,17 +166,6 @@ SECTION_4_RUNS_SHA256 = (
 )
 
 
-@contextlib.contextmanager
-def process_plan_suspended():
-    """Suspend the process-wide fault plan (``REPRO_FAULTS``) for a block."""
-    previous = FAULTS_STATE.plan
-    FAULTS_STATE.install(None)
-    try:
-        yield
-    finally:
-        FAULTS_STATE.install(previous)
-
-
 def _outcome_doc(outcome):
     if outcome is None:
         return None
@@ -246,7 +234,7 @@ def test_multiparty_plan_counters_pinned():
 
 
 def test_section_4_runs_pinned():
-    with process_plan_suspended():
+    with reliable():
         docs = section_4_runs()
     digest = hashlib.sha256(
         json.dumps(docs, sort_keys=True).encode()

@@ -421,6 +421,18 @@ class TestJaccardAcrossPaths:
         assert [value for value, _ in coalesced] == [value for value, _ in scalar]
 
 
+class TestDegradedJaccard:
+    def test_scalar_path_caps_a_degraded_jaccard_at_one(self):
+        registry = SessionRegistry(0)
+        entry = registry.open(
+            "s", universe_size=1 << 20, max_set_size=8, rounds=2,
+            faults="drop@1.0:seed=1",
+        )
+        value, record = run_scalar_operation(entry, "jaccard", [1, 2, 3], [1])
+        assert record.degraded
+        assert value == 1
+
+
 class TestScalarInputFaults:
     @pytest.mark.parametrize("kind", ["intersect", "size", "jaccard", "contains-any"])
     def test_unhashable_member_is_invalid_input(self, kind):

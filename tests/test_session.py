@@ -64,6 +64,18 @@ class TestOperationValue:
         with pytest.raises(ValueError, match="unknown operation kind"):
             operation_value("union", {1}, {1}, frozenset({1}))
 
+    def test_jaccard_is_capped_at_one(self):
+        # A degraded op's common is all of S: |S| / |T| would read 3 here.
+        s, t = frozenset({1, 2, 3}), frozenset({1})
+        assert operation_value("jaccard", s, t, s) == 1
+
+    def test_degraded_jaccard_never_reads_above_one(self):
+        session = IntersectionSession(
+            1 << 20, 8, rounds=2, faults="drop@1.0:seed=1"
+        )
+        assert session.jaccard([1, 2, 3], [1]) == 1
+        assert session.stats().history[-1].degraded
+
 
 class TestAccounting:
     def test_history_accumulates(self, rng):
